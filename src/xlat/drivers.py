@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import GaloisFail, InputError, ModuleCheckInconclusive
+from .errors import GaloisFail, InputError, ModuleCheckInconclusive, NotIrreducible
 from .galois import TransitiveGroupEntry, galois_group
 from .lattice import IntegerLattice, hnf, ror_lattice
 from .numtests import NOT_ROR, RorWitness, is_ror
@@ -162,18 +162,23 @@ def is_qtrivial(
         raise InputError("input must satisfy f(0) != 0")
     if f.degree < 2:
         raise InputError("the pair decision needs degree >= 2")
-    fac = factor_z(f)
-    if not fac.is_irreducible:
+    n = f.degree
+    # galois_group proves irreducibility itself at degrees 2..7, so when the
+    # group is needed from f its factorization is the only one
+    group_checks_irreducible = group is None and n <= 7 and not _is_prime(n)
+    if not group_checks_irreducible and not factor_z(f).is_irreducible:
         raise InputError("input polynomial is reducible")
 
-    n = f.degree
     if _is_prime(n):
         timings["total_ms"] = 1000 * (time.perf_counter() - t_start)
         return QtrivialVerdict(verdict=True, path=PATH_PRIME, group=None, timings_ms=timings)
 
     if group is None:
         t0 = time.perf_counter()
-        group = galois_group(f, prime_budget=prime_budget, seed=seed)
+        try:
+            group = galois_group(f, prime_budget=prime_budget, seed=seed)
+        except NotIrreducible:
+            raise InputError("input polynomial is reducible") from None
         timings["galois_ms"] = 1000 * (time.perf_counter() - t0)
 
     verdict = _qtrivial_from_group_entry(group, n, seed, timings)

@@ -184,8 +184,8 @@ def resolvent_table():
 # cycle types (Dedekind reduction)
 
 
-def _good_primes(f, start=_PRIME_FLOOR):
-    disc = discriminant(f)
+def _good_primes(f, disc, start=_PRIME_FLOOR):
+    """Primes >= start dividing neither disc(f) (passed in) nor lc(f)."""
     bad = abs(disc.numerator * disc.denominator * f.lc)
     for p in primes_from(start):
         if bad % p:
@@ -197,7 +197,7 @@ def cycle_types(f: UnivariatePolynomial, prime_budget: int = DEFAULT_PRIME_BUDGE
     disc = discriminant(f)
     primes = []
     patterns = []
-    for p in _good_primes(f):
+    for p in _good_primes(f, disc):
         primes.append(p)
         patterns.append(factor_degrees_mod_p(f, p))
         if len(primes) >= prime_budget:
@@ -455,12 +455,13 @@ def galois_group(
     if f(0) == 0 or not is_irreducible_z(f):
         raise NotIrreducible("Galois identification needs an irreducible input with f(0) != 0")
     degree = f.degree
-    disc_square = _is_rational_square(discriminant(f))
+    disc = discriminant(f)
+    disc_square = _is_rational_square(disc)
     candidates = [e for e in catalog_for_degree(degree) if e.parity_even == disc_square]
 
     observed = []
     if len(candidates) > 1:
-        for p in _good_primes(f):
+        for p in _good_primes(f, disc):
             pattern = factor_degrees_mod_p(f, p)
             observed.append((p, pattern))
             candidates = [e for e in candidates if pattern in e.cycle_type_set()]

@@ -7,7 +7,9 @@ polynomial times a rational content factor, so every internal algorithm
 runs on integer coefficients.
 
 Factorization over Z is Zassenhaus: factor modulo a good odd prime, Hensel
-lift to a Mignotte-style coefficient bound, then recombine subsets.  All
+lift to a Mignotte-style coefficient bound, then recombine subsets; when the
+factor degrees modulo a few primes admit no common proper degree, the input
+is proven irreducible without lifting.  All
 tie-breaking is deterministic (sorted factor order, fixed seed for the
 equal-degree split) so repeated runs produce identical output.
 """
@@ -352,7 +354,14 @@ def is_squarefree(f: UnivariatePolynomial) -> bool:
 
 
 def _yun_squarefree_decomposition(f: UnivariatePolynomial):
-    """Yun's algorithm on a primitive poly with positive lc: [(g_i, i)] distinct."""
+    """Yun's algorithm on a primitive poly with positive lc: [(g_i, i)] distinct.
+
+    A square factor of f over Q stays a square modulo every prime not
+    dividing lc(f), so f squarefree modulo one such prime is squarefree.
+    """
+    good = (p for p in primes_from(3) if f.lc % p)
+    if any(_gf_squarefree_image(f, p) is not None for p in itertools.islice(good, 3)):
+        return [(f, 1)]
     out = []
     g = poly_gcd(f, f.derivative())
     if g.degree == 0:
@@ -473,36 +482,52 @@ def _gf_from_poly(f: UnivariatePolynomial, p: int):
     return _gf_trim([c % p for c in f.coeffs])
 
 
-def _gf_mul(a, b, p):
-    if not a or not b:
-        return []
+def _mul_loop(a, b):
+    """Integer product of two coefficient lists, left unreduced so that the
+    caller reduces each output coefficient once."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _gf_trim(out)
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _gf_mul(a, b, m):
+    """Product modulo m (a prime, or a Hensel modulus p^k)."""
+    if not a or not b:
+        return []
+    return _gf_trim([c % m for c in _mul_loop(a, b)])
+
+
+def _monic_divmod(a, b, m):
+    """(q, r) with a = q*b + r modulo m for a monic divisor b; the partial
+    remainders stay unreduced and each coefficient is reduced once."""
+    a = list(a)
+    low = b[:-1]
+    nb = len(low)
+    q = [0] * max(len(a) - nb, 0)
+    for k in range(len(a) - nb - 1, -1, -1):
+        c = a.pop() % m
+        if c:
+            q[k] = c
+            for i, y in enumerate(low, k):
+                a[i] -= c * y
+    return _gf_trim(q), _gf_trim([c % m for c in a])
 
 
 def _gf_divmod(a, b, p):
     if not b:
         raise ZeroDivisionError
-    a = list(a)
     inv = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        c = (a[-1] * inv) % p
-        k = len(a) - len(b)
-        if c:
-            q[k] = c
-            for i, y in enumerate(b):
-                a[k + i] = (a[k + i] - c * y) % p
-        a.pop()
-    return q, _gf_trim(a)
+    q, r = _monic_divmod(a, [(c * inv) % p for c in b], p)
+    return [(c * inv) % p for c in q], r
 
 
 def _gf_mod(a, b, p):
-    return _gf_divmod(a, b, p)[1]
+    if not b:
+        raise ZeroDivisionError
+    return _monic_divmod(a, _gf_monic(b, p), p)[1]
 
 
 def _gf_gcd(a, b, p):
@@ -518,14 +543,25 @@ def _gf_monic(a, p):
     return [(c * inv) % p for c in a]
 
 
+def _gf_mulmod(a, b, f, p):
+    """a*b mod f over F_p for a monic modulus f."""
+    if not a or not b:
+        return []
+    return _monic_divmod(_mul_loop(a, b), f, p)[1]
+
+
 def _gf_pow_mod(a, e, mod, p):
-    result = [1]
+    """a^e mod `mod` over F_p, left-to-right square-and-multiply: no squaring
+    is wasted, and multiplying by a = x costs a shift and one reduction step."""
+    mod = _gf_monic(mod, p)
+    if e == 0:
+        return [1]
     base = _gf_mod(a, mod, p)
-    while e:
-        if e & 1:
-            result = _gf_mod(_gf_mul(result, base, p), mod, p)
-        base = _gf_mod(_gf_mul(base, base, p), mod, p)
-        e >>= 1
+    result = base
+    for bit in bin(e)[3:]:
+        result = _gf_mulmod(result, result, mod, p)
+        if bit == "1":
+            result = _gf_mulmod(result, base, mod, p)
     return result
 
 
@@ -589,20 +625,47 @@ def _gf_squarefree_split(f, p):
     return out
 
 
+def _gf_frobenius_rows(xp, f, p):
+    """Rows x^(ip) mod f for i < deg f: the matrix of h -> h^p on F_p[x]/(f)."""
+    rows = [[1], xp]
+    for _ in range(2, len(f) - 1):
+        rows.append(_gf_mulmod(xp, rows[-1], f, p))
+    return rows
+
+
+def _gf_frobenius(h, rows, p):
+    """h^p mod f as sum of h_i * x^(ip) mod f (h_i^p = h_i in F_p)."""
+    acc = [0] * len(rows)
+    for c, row in zip(h, rows):
+        if c:
+            for j, y in enumerate(row):
+                acc[j] += c * y
+    return _gf_trim([c % p for c in acc])
+
+
 def _gf_ddf(f, p):
-    """Distinct-degree factorization of monic squarefree f: [(product, degree)]."""
+    """Distinct-degree factorization of monic squarefree f: [(product, degree)].
+
+    h = x^(p^d) mod f is kept modulo the full f (it reduces correctly modulo
+    every remaining divisor v); x^p costs one modular power and every later
+    step one application of the Frobenius matrix.
+    """
     out = []
-    h = [0, 1]  # x
     v = list(f)
+    h = rows = None
     d = 0
     while len(v) - 1 >= 2 * (d + 1):
         d += 1
-        h = _gf_pow_mod(h, p, v, p)
+        if h is None:
+            h = _gf_pow_mod([0, 1], p, f, p)
+        else:
+            if rows is None:
+                rows = _gf_frobenius_rows(h, f, p)
+            h = _gf_frobenius(h, rows, p)
         g = _gf_gcd(_gf_sub(h, [0, 1], p), v, p)
         if len(g) > 1:
             out.append((g, d))
             v = _gf_divmod(v, g, p)[0]
-            h = _gf_mod(h, v, p)
     if len(v) > 1:
         out.append((v, len(v) - 1))
     return out
@@ -705,27 +768,6 @@ class Factorization:
         )
 
 
-_SMALL_PRIMES = []
-
-
-def _prime_gen():
-    yield 2
-    yield 3
-    n = 5
-    while True:
-        for cand in (n, n + 2):
-            is_p = True
-            d = 3
-            while d * d <= cand:
-                if cand % d == 0:
-                    is_p = False
-                    break
-                d += 2
-            if is_p:
-                yield cand
-        n += 6
-
-
 def primes_from(start: int):
     """Deterministic prime stream, first prime >= start."""
     if start <= 2:
@@ -753,47 +795,14 @@ def _mignotte_bound(f: UnivariatePolynomial) -> int:
 def _hensel_step(m, f, g, h, s, t):
     """One quadratic Hensel step: modulus m -> m^2 for f = g*h, s*g + t*h = 1."""
     m2 = m * m
-
-    def red(pl):
-        return [c % m2 for c in pl]
-
-    def mul(a, b):
-        if not a or not b:
-            return []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % m2
-        return _gf_trim(out)
-
-    def sub(a, b):
-        n = max(len(a), len(b))
-        return _gf_trim(
-            [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m2 for i in range(n)]
-        )
-
-    def divmod_monic(a, b):
-        a = list(a)
-        q = [0] * max(len(a) - len(b) + 1, 0)
-        while len(a) >= len(b):
-            c = a[-1] % m2
-            k = len(a) - len(b)
-            if c:
-                q[k] = c
-                for i, y in enumerate(b):
-                    a[k + i] = (a[k + i] - c * y) % m2
-            a.pop()
-        return _gf_trim(q), _gf_trim(a)
-
-    e = sub(red(f), mul(g, h))
-    q, r = divmod_monic(mul(s, e), h)
-    g1 = _gf_trim([x % m2 for x in _padd(_padd(g, mul(t, e)), mul(q, g))])
+    e = _gf_sub([c % m2 for c in f], _gf_mul(g, h, m2), m2)
+    q, r = _monic_divmod(_gf_mul(s, e, m2), h, m2)
+    g1 = _gf_trim([x % m2 for x in _padd(_padd(g, _gf_mul(t, e, m2)), _gf_mul(q, g, m2))])
     h1 = _gf_trim([x % m2 for x in _padd(h, r)])
-    b = sub(_padd(mul(s, g1), mul(t, h1)), [1])
-    c, d = divmod_monic(mul(s, b), h1)
-    s1 = sub(s, d)
-    t1 = sub(t, _padd(mul(t, b), mul(c, g1)))
+    b = _gf_sub(_padd(_gf_mul(s, g1, m2), _gf_mul(t, h1, m2)), [1], m2)
+    c, d = _monic_divmod(_gf_mul(s, b, m2), h1, m2)
+    s1 = _gf_sub(s, d, m2)
+    t1 = _gf_sub(t, _padd(_gf_mul(t, b, m2), _gf_mul(c, g1, m2)), m2)
     return g1, h1, s1, t1
 
 
@@ -842,33 +851,55 @@ def _centered(c, m):
     return c - m if c > m // 2 else c
 
 
+def _gf_squarefree_image(f: UnivariatePolynomial, p: int):
+    """Monic f mod p when p keeps the degree and f mod p is squarefree, else None."""
+    if f.lc % p == 0:
+        return None
+    fp = _gf_monic(_gf_from_poly(f, p), p)
+    if len(_gf_gcd(fp, _gf_deriv(fp, p), p)) > 1:
+        return None
+    return fp
+
+
 def _factor_squarefree_primitive(g: UnivariatePolynomial):
-    """Irreducible factors of a primitive squarefree poly with positive lc."""
-    if g.degree <= 1:
+    """Irreducible factors of a primitive squarefree poly with positive lc.
+
+    Up to four good odd primes are tried with DDF alone.  The degree of a
+    factor over Z is a sum of modular factor degrees for every prime, so an
+    empty intersection of these subset sums (as bit sets) proves g
+    irreducible (Musser 1975); otherwise the prime with the fewest modular
+    factors is split by EDF, lifted and recombined.
+    """
+    n = g.degree
+    if n <= 1:
         return [g]
-    # choose the odd prime (squarefree reduction) with the fewest modular factors
+    possible = (1 << n) - 2  # bit k: a factor of degree k (0 < k < n) is possible
     best = None
     tried = 0
     for p in primes_from(3):
-        if g.lc % p == 0:
+        fp = _gf_squarefree_image(g, p)
+        if fp is None:
             continue
-        fp = _gf_monic(_gf_from_poly(g, p), p)
-        if len(fp) - 1 != g.degree:
-            continue
-        if len(_gf_gcd(fp, _gf_deriv(fp, p), p)) > 1:
-            continue
-        rng = SplitMix64(_EDF_SEED ^ p)
-        mods = []
-        for block, d in _gf_ddf(fp, p):
-            mods.extend(_gf_edf(block, d, p, rng))
+        blocks = _gf_ddf(fp, p)
+        sums = 1
+        count = 0
+        for block, d in blocks:
+            for _ in range((len(block) - 1) // d):
+                sums |= sums << d
+                count += 1
+        possible &= sums
+        if not possible:
+            return [g]
         tried += 1
-        if best is None or len(mods) < len(best[1]):
-            best = (p, mods)
-        if len(best[1]) == 1 or tried >= 4:
+        if best is None or count < best[2]:
+            best = (p, blocks, count)
+        if tried >= 4:
             break
-    p, mods = best
-    if len(mods) == 1:
-        return [g]
+    p, blocks, _ = best
+    rng = SplitMix64(_EDF_SEED ^ p)
+    mods = []
+    for block, d in blocks:
+        mods.extend(_gf_edf(block, d, p, rng))
     mods.sort(key=lambda m: (len(m), tuple(m)))
     bound = _mignotte_bound(g)
     exponent = 1
@@ -876,7 +907,7 @@ def _factor_squarefree_primitive(g: UnivariatePolynomial):
         exponent += 1
     modulus, lifted = _hensel_lift(p, g, mods, exponent)
 
-    # subset recombination
+    # subset recombination, skipping subsets whose degree no prime allows
     out = []
     in_play = list(lifted)
     current = g
@@ -884,11 +915,11 @@ def _factor_squarefree_primitive(g: UnivariatePolynomial):
     while 2 * size <= len(in_play):
         found = False
         for subset in itertools.combinations(range(len(in_play)), size):
+            if not (possible >> sum(len(in_play[i]) - 1 for i in subset)) & 1:
+                continue
             prod = [current.lc % modulus]
             for idx in subset:
-                prod = _gf_trim(
-                    [c % modulus for c in _poly_mul_mod(prod, in_play[idx], modulus)]
-                )
+                prod = _gf_mul(prod, in_play[idx], modulus)
             cand = UnivariatePolynomial([_centered(c, modulus) for c in prod])
             if cand.is_zero:
                 continue
@@ -906,17 +937,6 @@ def _factor_squarefree_primitive(g: UnivariatePolynomial):
     if current.degree >= 1:
         cp = current.primitive_part()
         out.append(cp if cp.lc > 0 else -cp)
-    return out
-
-
-def _poly_mul_mod(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
     return out
 
 

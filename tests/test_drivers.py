@@ -121,6 +121,59 @@ class TestIsQtrivial:
         assert out.verdict is False
 
 
+class TestWorkPerDecision:
+    """is_qtrivial factors its input once and computes its discriminant once."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        import importlib
+
+        calls = []
+        for mod_name in ("polycore", "galois", "drivers", "numtests", "cli"):
+            mod = importlib.import_module(f"xlat.{mod_name}")
+            fn = getattr(mod, name, None)
+            if fn is None:
+                continue
+
+            def counted(*args, _fn=fn, **kwargs):
+                calls.append(name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    def test_protocol_sextic(self, monkeypatch):
+        from xlat.cli import random_polynomial
+        from xlat.rng import SplitMix64
+
+        f, _ = random_polynomial(SplitMix64(0), 6)
+        factor_calls = self.count_calls(monkeypatch, "factor_z")
+        disc_calls = self.count_calls(monkeypatch, "discriminant")
+        group_calls = self.count_calls(monkeypatch, "galois_group")
+        out = is_qtrivial(f)
+        assert out.group.label() == "6T16" and out.path == "DoublyTransitive"
+        assert (len(factor_calls), len(disc_calls), len(group_calls)) == (1, 1, 1)
+
+    def test_quintic(self, monkeypatch):
+        factor_calls = self.count_calls(monkeypatch, "factor_z")
+        group_calls = self.count_calls(monkeypatch, "galois_group")
+        assert is_qtrivial(EX2_F).path == "PrimeDegree"
+        assert (len(factor_calls), len(group_calls)) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            poly([1, 0, 1]) * poly([1, 1, 0, 0, 1]),  # degree 6, group found from f
+            poly([1, 0, 1]) * poly([-1, -1, 0, 0, 0, 0, 1]),  # degree 8, no catalog
+        ],
+    )
+    def test_reducible_input_error_unchanged(self, f):
+        with pytest.raises(InputError) as exc:
+            is_qtrivial(f)
+        assert type(exc.value) is InputError
+        assert str(exc.value) == "input polynomial is reducible"
+
+
 class TestCatalogSweep:
     def test_degree4_exactly_two(self):
         results = {e.label(): is_qtrivial_group(e) for e in catalog_for_degree(4)}

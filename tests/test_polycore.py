@@ -337,6 +337,77 @@ class TestFactorModP:
                 full = sorted(g.degree for g, mult in factor_mod_p(f, p) for _ in range(mult))
                 assert list(factor_degrees_mod_p(f, p)) == full
 
+    def test_ddf_degrees_match_edf_factors(self):
+        # primes below the degree give Frobenius-matrix rows that are unreduced monomials
+        rng = SplitMix64(7331)
+        checked = 0
+        for _ in range(30):
+            for degree in range(2, 10):
+                f = random_poly(rng, degree)
+                for p in (2, 3, 5, 7, 10007, 10009):
+                    if f.lc % p == 0:
+                        continue
+                    factors = factor_mod_p(f, p)
+                    if any(mult > 1 for _, mult in factors):
+                        continue  # not squarefree mod p
+                    product = poly([1])
+                    for g, _ in factors:
+                        product = product * g
+                    inv = pow(f.lc, -1, p)
+                    assert [c % p for c in product.coeffs] == [c * inv % p for c in f.coeffs]
+                    assert list(factor_degrees_mod_p(f, p)) == sorted(g.degree for g, _ in factors)
+                    checked += 1
+        assert checked > 1000
+
+
+class TestFactorZAgainstSympy:
+    """factor_z must equal sympy's factor_list: content and sign, factors and
+    multiplicities.  A shortcut that calls a reducible polynomial irreducible
+    still passes the expand() round-trip, so it is compared here."""
+
+    @staticmethod
+    def sympy_factorization(f):
+        sympy = pytest.importorskip("sympy")
+        coeff, factors = sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("x")).factor_list()
+        content = Fraction(int(coeff))
+        out = []
+        for g, mult in factors:
+            g = poly(reversed([int(c) for c in g.all_coeffs()]))
+            if g.lc < 0:
+                g, content = -g, content * (-1) ** mult
+            out.append((g, mult))
+        return content, sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
+
+    def assert_agrees(self, f):
+        fac = factor_z(f)
+        content, factors = self.sympy_factorization(f)
+        assert (fac.content, list(fac.factors)) == (content, factors), f
+
+    def test_seeded_products(self):
+        rng = SplitMix64(4242)
+        for _ in range(60):
+            f = poly([rng.choice([-6, -3, -2, -1, 1, 2, 5])])
+            while f.degree < 12:
+                mult = rng.randint(1, 2)
+                g = random_poly(rng, rng.randint(1, 4), bound=6)
+                if f.degree + mult * g.degree > 12:
+                    break
+                f = f * g**mult
+            if f.degree >= 1:
+                self.assert_agrees(f)
+
+    def test_quotient_polynomials_and_cyclotomic(self):
+        from xlat.cli import random_polynomial
+        from xlat.numtests import quotient_poly
+
+        rng = SplitMix64(2024)
+        for _ in range(5):
+            f, _ = random_polynomial(rng, 6)
+            q = quotient_poly(f)
+            assert q.degree == 30
+            self.assert_agrees(q)
+        self.assert_agrees(poly([-1] + [0] * 11 + [1]))
+
 
 class TestPowerSums:
     def test_known(self):
