@@ -80,14 +80,6 @@ def identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 
@@ -114,48 +106,3 @@ def charpoly(a):
             m[i][i] += c
     return coeffs
 
-
-def minpoly(a):
-    """Minimal polynomial of the matrix, monic, lowest degree first."""
-    n = len(a)
-    # Krylov in the n^2-dimensional space of matrices
-    powers = [identity(n)]
-    flat = [_flatten(powers[0])]
-    cur = identity(n)
-    for _ in range(n):
-        cur = mat_mul(a, cur)
-        powers.append(cur)
-        flat.append(_flatten(cur))
-        # look for a dependence among flat[0..k]
-        k = len(flat) - 1
-        dep = _dependence(flat)
-        if dep is not None:
-            return dep
-    raise AssertionError("minimal polynomial must exist by degree n")
-
-
-def _flatten(m):
-    return [x for row in m for x in row]
-
-
-def _dependence(vectors):
-    """If the last vector depends on the earlier ones, return the monic
-    combination coefficients as a polynomial (lowest degree first)."""
-    k = len(vectors) - 1
-    if k == 0:
-        return None
-    # solve sum_{i<k} c_i v_i = v_k
-    rows = [[vectors[i][j] for i in range(k)] + [vectors[k][j]] for j in range(len(vectors[0]))]
-    red, pivots = rref(rows)
-    if k in pivots:
-        return None  # inconsistent: no dependence yet
-    sol = [Fraction(0)] * k
-    for row, pc in zip(red, pivots):
-        sol[pc] = row[k]
-    return sol + [Fraction(-1)]  # v_k - sum c_i v_i = 0, normalized below
-
-
-def minpoly_monic(a):
-    coeffs = minpoly(a)
-    lead = coeffs[-1]
-    return [c / lead for c in coeffs]

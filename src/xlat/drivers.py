@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .arith import is_prime, is_prime_power
 from .errors import GaloisFail, InputError, ModuleCheckInconclusive, NotIrreducible
 from .galois import TransitiveGroupEntry, galois_group
 from .lattice import IntegerLattice, hnf, ror_lattice
@@ -88,42 +89,18 @@ class FastBasisResult:
 # the degree class S
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
-
-
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1 if p == 2 else 2
-    return True  # n itself prime
-
-
 def in_set_S(n: int) -> bool:
     """Prime powers together with 2^(f-1)(2^f-1) for f >= 3 with 2^f-1 prime."""
     if n < 2:
         raise ValueError("set membership defined for n >= 2")
-    if _is_prime_power(n):
+    if is_prime_power(n):
         return True
     f = 3
     while True:
         val = 2 ** (f - 1) * (2**f - 1)
         if val > n:
             return False
-        if val == n and _is_prime(2**f - 1):
+        if val == n and is_prime(2**f - 1):
             return True
         f += 1
 
@@ -165,11 +142,11 @@ def is_qtrivial(
     n = f.degree
     # galois_group proves irreducibility itself at degrees 2..7, so when the
     # group is needed from f its factorization is the only one
-    group_checks_irreducible = group is None and n <= 7 and not _is_prime(n)
+    group_checks_irreducible = group is None and n <= 7 and not is_prime(n)
     if not group_checks_irreducible and not factor_z(f).is_irreducible:
         raise InputError("input polynomial is reducible")
 
-    if _is_prime(n):
+    if is_prime(n):
         timings["total_ms"] = 1000 * (time.perf_counter() - t_start)
         return QtrivialVerdict(verdict=True, path=PATH_PRIME, group=None, timings_ms=timings)
 
@@ -232,7 +209,7 @@ def is_qtrivial_group(
     if force_module_check:
         ok = _module_check(entry.group, seed)
         return QtrivialVerdict(verdict=ok, path=PATH_MODULE, group=entry, timings_ms=timings)
-    if _is_prime(n):
+    if is_prime(n):
         return QtrivialVerdict(verdict=True, path=PATH_PRIME, group=entry, timings_ms=timings)
     return _qtrivial_from_group_entry(entry, n, seed, timings)
 
@@ -245,10 +222,14 @@ def is_qtrivial_group(
 class EPlusDiagnosis:
     member: bool
     reason: str
-    undecided: bool = False
+    error: GaloisFail | ModuleCheckInconclusive | None = None  # why it is undecided
     power: tuple | None = None  # (content, base, exponent)
     ror: object = None  # RorWitness | NOT_ROR | None
     qtrivial: QtrivialVerdict | None = None
+
+    @property
+    def undecided(self) -> bool:
+        return self.error is not None
 
 
 def in_E_plus(f: UnivariatePolynomial, seed: int = 0) -> EPlusDiagnosis:
@@ -282,7 +263,7 @@ def in_E_plus(f: UnivariatePolynomial, seed: int = 0) -> EPlusDiagnosis:
         return EPlusDiagnosis(
             member=False,
             reason=f"undecided: {type(exc).__name__}: {exc}",
-            undecided=True,
+            error=exc,
             power=(c, g, k),
             ror=NOT_ROR,
         )
@@ -329,7 +310,7 @@ def fastbasis_plus(f: UnivariatePolynomial, seed: int = 0) -> FastBasisResult:
         raise InputError("fastbasis needs f nonzero with f(0) != 0")
     diag = in_E_plus(f, seed=seed)
     if diag.undecided:
-        raise GaloisFail(diag.reason) if "GaloisFail" in diag.reason else ModuleCheckInconclusive(diag.reason)
+        raise type(diag.error)(diag.reason)
     if not diag.member:
         return FastBasisResult(
             status="F",

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import mpmath
 
+from .arith import primes_from
 from .errors import CatalogCorrupt, DegreeOutOfRange, GaloisFail, NotIrreducible
 from .permgroup import PermutationGroup
 from .polycore import (
@@ -40,7 +41,6 @@ from .polycore import (
     is_squarefree,
     poly_from_power_sums,
     power_sums,
-    primes_from,
 )
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -82,13 +82,6 @@ class TransitiveGroupEntry:
             "order": self.order,
             "name": self.name,
         }
-
-
-@dataclass(frozen=True)
-class CycleTypeEvidence:
-    primes: tuple
-    patterns: tuple  # sorted multiset of observed degree patterns
-    discriminant_square: bool
 
 
 # ---------------------------------------------------------------------------
@@ -192,23 +185,6 @@ def _good_primes(f, disc, start=_PRIME_FLOOR):
             yield p
 
 
-def cycle_types(f: UnivariatePolynomial, prime_budget: int = DEFAULT_PRIME_BUDGET) -> CycleTypeEvidence:
-    """Factorization degree patterns of f modulo `prime_budget` good primes."""
-    disc = discriminant(f)
-    primes = []
-    patterns = []
-    for p in _good_primes(f, disc):
-        primes.append(p)
-        patterns.append(factor_degrees_mod_p(f, p))
-        if len(primes) >= prime_budget:
-            break
-    return CycleTypeEvidence(
-        primes=tuple(primes),
-        patterns=tuple(sorted(patterns)),
-        discriminant_square=_is_rational_square(disc),
-    )
-
-
 def _is_rational_square(x: Fraction) -> bool:
     if x < 0:
         return False
@@ -221,18 +197,14 @@ def _is_rational_square(x: Fraction) -> bool:
 # exact linear resolvents via power sums
 
 
-def _binom(n, k):
-    return math.comb(n, k)
-
-
 def pair_sum_resolvent(f: UnivariatePolynomial) -> UnivariatePolynomial:
     """prod over {i<j} of (x - (r_i + r_j))."""
     n = f.degree
-    deg = _binom(n, 2)
+    deg = math.comb(n, 2)
     ps = power_sums(f, 2 * deg)
     out = [Fraction(deg)]
     for t in range(1, deg + 1):
-        tot = sum(_binom(t, a) * ps[a] * ps[t - a] for a in range(t + 1))
+        tot = sum(math.comb(t, a) * ps[a] * ps[t - a] for a in range(t + 1))
         out.append((tot - 2**t * ps[t]) / 2)
     return poly_from_power_sums(out, deg)
 
@@ -244,7 +216,7 @@ def ordered_pair_resolvent(f: UnivariatePolynomial) -> UnivariatePolynomial:
     ps = power_sums(f, 2 * deg)
     out = [Fraction(deg)]
     for t in range(1, deg + 1):
-        tot = sum(_binom(t, a) * ps[a] * 2 ** (t - a) * ps[t - a] for a in range(t + 1))
+        tot = sum(math.comb(t, a) * ps[a] * 2 ** (t - a) * ps[t - a] for a in range(t + 1))
         out.append(tot - 3**t * ps[t])
     return poly_from_power_sums(out, deg)
 
@@ -252,7 +224,7 @@ def ordered_pair_resolvent(f: UnivariatePolynomial) -> UnivariatePolynomial:
 def triple_sum_resolvent(f: UnivariatePolynomial) -> UnivariatePolynomial:
     """prod over {i<j<k} of (x - (r_i + r_j + r_k))."""
     n = f.degree
-    deg = _binom(n, 3)
+    deg = math.comb(n, 3)
     ps = power_sums(f, 3 * deg if deg else 0)
     out = [Fraction(deg)]
     for t in range(1, deg + 1):
@@ -261,7 +233,7 @@ def triple_sum_resolvent(f: UnivariatePolynomial) -> UnivariatePolynomial:
             for b in range(t - a + 1):
                 c = t - a - b
                 t0 += math.factorial(t) // (math.factorial(a) * math.factorial(b) * math.factorial(c)) * ps[a] * ps[b] * ps[c]
-        v = sum(_binom(t, a) * 2**a * ps[a] * ps[t - a] for a in range(t + 1))
+        v = sum(math.comb(t, a) * 2**a * ps[a] * ps[t - a] for a in range(t + 1))
         d3 = t0 - 3 * v + 2 * 3**t * ps[t]
         out.append(d3 / 6)
     return poly_from_power_sums(out, deg)

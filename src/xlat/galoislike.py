@@ -27,6 +27,7 @@ from pathlib import Path
 
 import mpmath
 
+from .arith import factor_int
 from .drivers import is_qtrivial_group
 from .errors import DegreeTooLarge, InputError, PrecisionExhausted
 from .galois import galois_group
@@ -146,20 +147,6 @@ def lll_reduce(rows):
 # numeric relation detection
 
 
-def _primes_of(n: int):
-    out = set()
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def numeric_lattices(
     f: UnivariatePolynomial,
     precision: int = 100,
@@ -202,7 +189,7 @@ def numeric_lattices(
         cand_exact = _extract_candidates(reduced, n, threshold)
 
         # rational-value relations: allow prime-log and pi columns
-        primes = sorted(_primes_of(f.lc * f[0]))
+        primes = sorted(factor_int(f.lc * f[0]))
         rows = []
         width = n + 1 + len(primes) + 2
         for i in range(n):
@@ -402,6 +389,18 @@ def _product_of_nonror_roots(cls: RootClassification) -> Fraction:
     return out
 
 
+def _rational_vector(cls: RootClassification) -> tuple:
+    """The product of the non-root-of-rational roots, then the rational
+    roots; the product is left out when only rational roots exist."""
+    has_rational = len(cls.rational_values) > 0
+    has_nonror = len(cls.nonror_positions) > 0
+    if has_nonror and has_rational:
+        return (_product_of_nonror_roots(cls),) + cls.rational_values
+    if has_rational:
+        return cls.rational_values
+    return (_product_of_nonror_roots(cls),)
+
+
 # ---------------------------------------------------------------------------
 # theorem checkers
 
@@ -440,14 +439,7 @@ def check_rftri(f: UnivariatePolynomial, precision: int = 100, lattices=None) ->
     cond_third = True
     vector = None
     if cond_roots:
-        has_rational = len(cls.rational_values) > 0
-        has_nonror = len(cls.nonror_positions) > 0
-        if has_nonror and has_rational:
-            vector = (_product_of_nonror_roots(cls),) + cls.rational_values
-        elif has_rational:
-            vector = cls.rational_values
-        else:
-            vector = (_product_of_nonror_roots(cls),)
+        vector = _rational_vector(cls)
         cond_third = is_trivial(rat_mult_lattice(vector))
     right = cond_group and cond_roots and cond_third
     return TrivialityReport(
@@ -675,18 +667,9 @@ def _four_equivalences(triple, which, cls, f, n, rfq_side):
             and factor_z(f).is_irreducible
         )
     else:
-        cond_roots = len(cls.ror_irrational_positions) == 0
-        side = cond_roots
-        if side:
-            has_rational = len(cls.rational_values) > 0
-            has_nonror = len(cls.nonror_positions) > 0
-            if has_nonror and has_rational:
-                vector = (_product_of_nonror_roots(cls),) + cls.rational_values
-            elif has_rational:
-                vector = cls.rational_values
-            else:
-                vector = (_product_of_nonror_roots(cls),)
-            side = is_trivial(rat_mult_lattice(vector))
+        side = len(cls.ror_irrational_positions) == 0 and is_trivial(
+            rat_mult_lattice(_rational_vector(cls))
+        )
     if not side:
         return "n/a"
     elements = getattr(triple, which)

@@ -9,13 +9,13 @@ equality is tuple comparison.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
 from . import _linalg
+from .arith import factor_int
 from .errors import DimensionMismatch, WitnessInvalid, ZeroEntry
 from .polycore import UnivariatePolynomial, divides, graeffe, poly
 from .roots import approx_roots
@@ -137,21 +137,6 @@ def is_trivial(lat: IntegerLattice) -> bool:
 # multiplicative relations of rational vectors
 
 
-def _factor_int(m: int):
-    """Prime exponent dict of |m| by trial division (desk-scale inputs)."""
-    out = {}
-    m = abs(m)
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
 def rat_mult_lattice(values) -> IntegerLattice:
     """{u in Z^n : prod values[i]^u[i] = 1} for nonzero rationals, exact.
 
@@ -167,8 +152,8 @@ def rat_mult_lattice(values) -> IntegerLattice:
     expos = []
     signs = []
     for v in vals:
-        e = _factor_int(v.numerator)
-        for p, k in _factor_int(v.denominator).items():
+        e = factor_int(v.numerator)
+        for p, k in factor_int(v.denominator).items():
             e[p] = e.get(p, 0) - k
         expos.append(e)
         signs.append(1 if v < 0 else 0)
@@ -216,7 +201,7 @@ def ror_lattice(g: UnivariatePolynomial, witness, roots=None) -> IntegerLattice:
         cyc = poly([-1] + [0] * (big_n - 1) + [1])
         if not divides(g, cyc):
             raise WitnessInvalid("roots are not the expected roots of unity")
-        exps = _match_roots_of_unity(g, big_n, roots)
+        exps = _match_radical_roots(g, big_n, Fraction(1), roots)
         ker = kernel_z([list(exps) + [big_n]], n + 1)
         return hnf([row[:n] for row in ker.basis], n)
 
@@ -228,31 +213,6 @@ def ror_lattice(g: UnivariatePolynomial, witness, roots=None) -> IntegerLattice:
     rows = [[1] * n + [0], list(exps) + [m]]
     ker = kernel_z(rows, n + 1)
     return hnf([row[:n] for row in ker.basis], n)
-
-
-def _match_roots_of_unity(g, big_n, roots):
-    """Exponent a_j with root_j = zeta_N^(a_j), canonical root order."""
-    n = g.degree
-    dps = 30
-    while True:
-        rts = roots if roots is not None else approx_roots(g, dps)
-        with mpmath.workdps(dps + 10):
-            sep = 2 * mpmath.sin(mpmath.pi / big_n)
-            exps = []
-            ok = True
-            for r in rts:
-                a = int(mpmath.nint(mpmath.arg(r) * big_n / (2 * mpmath.pi))) % big_n
-                target = mpmath.exp(2j * mpmath.pi * a / big_n)
-                if abs(r - target) > sep / 4:
-                    ok = False
-                    break
-                exps.append(a)
-        if ok:
-            return exps
-        roots = None
-        dps *= 2
-        if dps > 2000:
-            raise WitnessInvalid("could not certify root identification")
 
 
 def _match_radical_roots(g, m, q, roots):

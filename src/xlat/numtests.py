@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import euler_phi
 from .errors import NotIrreducible, NotSquarefree, ZeroConstantTerm
 from .polycore import (
     UnivariatePolynomial,
@@ -59,21 +60,6 @@ NOT_ROR = NotRor()
 # cyclotomic machinery
 
 _cyclotomic_cache: dict = {}
-
-
-def euler_phi(d: int) -> int:
-    out = d
-    m = d
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out -= out // m
-    return out
 
 
 def cyclotomic_polynomial(d: int) -> UnivariatePolynomial:

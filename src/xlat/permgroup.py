@@ -108,14 +108,6 @@ class Permutation:
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(1, n + 1)))
 
-    @staticmethod
-    def from_cycles(cycles, n: int) -> "Permutation":
-        images = list(range(1, n + 1))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + (cyc[0],) if isinstance(cyc, tuple) else cyc[1:] + [cyc[0]]):
-                images[a - 1] = b
-        return Permutation(tuple(images))
-
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 

@@ -1,10 +1,10 @@
 """Exact scalar and univariate-polynomial arithmetic.
 
-Rationals are stdlib ``fractions.Fraction`` (re-exported as BigRational);
-polynomials carry arbitrary-precision integer coefficients, lowest degree
-first.  Rational inputs are normalized immediately to a primitive integer
-polynomial times a rational content factor, so every internal algorithm
-runs on integer coefficients.
+Rationals are stdlib ``fractions.Fraction``; polynomials carry
+arbitrary-precision integer coefficients, lowest degree first.  Rational
+inputs are normalized immediately to a primitive integer polynomial times a
+rational content factor, so every internal algorithm runs on integer
+coefficients.
 
 Factorization over Z is Zassenhaus: factor modulo a good odd prime, Hensel
 lift to a Mignotte-style coefficient bound, then recombine subsets; when the
@@ -22,10 +22,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import primes_from
 from .errors import BadPrime, ParseError, ZeroConstantTerm
 from .rng import SplitMix64
-
-BigRational = Fraction
 
 _EDF_SEED = 0x5EED
 
@@ -156,12 +155,6 @@ class UnivariatePolynomial:
     def reversed_poly(self):
         """Coefficients reversed; roots become reciprocals (needs f(0) != 0)."""
         return UnivariatePolynomial(list(reversed(self.coeffs)))
-
-    def scale_roots(self, a: int):
-        """Return the primitive polynomial whose roots are a * (roots of self)."""
-        n = self.degree
-        out = [c * a ** (n - i) for i, c in enumerate(self.coeffs)]
-        return UnivariatePolynomial(out).primitive_part()
 
     # -- display ------------------------------------------------------------
 
@@ -766,25 +759,6 @@ class Factorization:
             and self.factors[0][1] == 1
             and self.factors[0][0].degree >= 1
         )
-
-
-def primes_from(start: int):
-    """Deterministic prime stream, first prime >= start."""
-    if start <= 2:
-        yield 2
-        start = 3
-    n = start if start % 2 == 1 else start + 1
-    while True:
-        is_p = n > 1
-        d = 3
-        while d * d <= n:
-            if n % d == 0:
-                is_p = False
-                break
-            d += 2
-        if is_p and n % 2 == 1:
-            yield n
-        n += 2
 
 
 def _mignotte_bound(f: UnivariatePolynomial) -> int:

@@ -7,8 +7,10 @@ certificates:
 
 1. the underlying group is 2-transitive            -> Irreducible
 2. the commutant has dimension 1                   -> Irreducible
-3. a commutant element with a splitting minimal
-   polynomial yields an invariant kernel           -> Reducible (witness)
+3. for a commutant element c and the first
+   irreducible factor q of its characteristic
+   polynomial, ker q(c) is invariant, and proper
+   unless q is the minimal polynomial of c         -> Reducible (witness)
 4. a Norton-style certificate from a multiplicity-
    one factor of the characteristic polynomial of
    a group-algebra element (spin its kernel basis
@@ -194,16 +196,10 @@ def _kernel_witness(action, matrix) -> Submodule | None:
 
 
 def _split_by_element(action, c) -> Submodule | None:
-    """Stage 3: an invariant kernel from a splitting minimal polynomial of c."""
-    mp = _linalg.minpoly_monic(c)
-    ip = _fraction_poly_to_int(mp)
-    if ip.degree < 1:
-        return None
-    factors = factor_z(ip).factors
-    if len(factors) == 1 and factors[0][1] == 1:
-        return None  # minimal polynomial irreducible: no information
-    q1 = factors[0][0]
-    return _kernel_witness(action, _poly_of_matrix(list(q1.coeffs), c))
+    """Stage 3: the kernel of q(c) for the first irreducible factor q of the
+    characteristic polynomial of c; proper unless q is c's minimal polynomial."""
+    q = factor_z(_fraction_poly_to_int(_linalg.charpoly(c))).factors[0][0]
+    return _kernel_witness(action, _poly_of_matrix(list(q.coeffs), c))
 
 
 def is_q_irreducible(action: QModuleAction, seed: int = 0, max_rounds: int = 64):
@@ -302,11 +298,4 @@ def _random_algebra_element(action, rng):
         words.append(_linalg.mat_mul(gens[0], gens[-1]))
     if len(gens) >= 2:
         words.append(_linalg.mat_mul(gens[1], gens[0]))
-    acc = [[Fraction(0)] * d for _ in range(d)]
-    for w in words:
-        c = rng.randint(-3, 3)
-        if c:
-            for i in range(d):
-                for j in range(d):
-                    acc[i][j] += c * w[i][j]
-    return acc
+    return _random_combination(words, rng)

@@ -28,12 +28,3 @@ def approx_roots(f, dps: int):
 def canonical_order(roots):
     return sorted(roots, key=lambda r: (mpmath.re(r), mpmath.im(r)))
 
-
-def min_separation(roots):
-    sep = None
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            d = abs(roots[i] - roots[j])
-            if sep is None or d < sep:
-                sep = d
-    return sep

@@ -8,7 +8,8 @@ from xlat.drivers import (
     is_qtrivial,
     is_qtrivial_group,
 )
-from xlat.errors import InputError
+from xlat import drivers
+from xlat.errors import GaloisFail, InputError, ModuleCheckInconclusive
 from xlat.galois import catalog_for_degree
 from xlat.lattice import equal, member
 from xlat.permgroup import PermutationGroup
@@ -231,6 +232,19 @@ class TestEPlus:
     def test_two_factors_not_member(self):
         d = in_E_plus(poly([-1, 0, 1]))
         assert d.member is False and "c * g^k" in d.reason
+
+    @pytest.mark.parametrize("error", [GaloisFail, ModuleCheckInconclusive])
+    def test_undecided_keeps_its_error_class(self, monkeypatch, error):
+        def undecided(g, seed=0):
+            raise error("no verdict")
+
+        monkeypatch.setattr(drivers, "is_qtrivial", undecided)
+        d = in_E_plus(EX2_F)
+        assert d.member is False and d.undecided and type(d.error) is error
+        with pytest.raises(error) as info:
+            fastbasis_plus(EX2_F)
+        assert type(info.value) is error
+        assert str(info.value) == f"undecided: {error.__name__}: no verdict"
 
 
 class TestFastBasis:

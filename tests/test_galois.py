@@ -1,4 +1,6 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -6,8 +8,9 @@ from xlat.errors import CatalogCorrupt, DegreeOutOfRange, NotIrreducible
 from xlat.galois import (
     CATALOG_COUNTS,
     RESOLVENT_KINDS,
+    _good_primes,
+    _is_rational_square,
     catalog_for_degree,
-    cycle_types,
     galois_group,
     load_catalog,
     pair_sum_resolvent,
@@ -18,7 +21,26 @@ from xlat.galois import (
     ordered_pair_resolvent,
 )
 from xlat.numtests import cyclotomic_polynomial
-from xlat.polycore import discriminant, is_squarefree, parse_polynomial, poly, power_sums
+from xlat.polycore import (
+    discriminant,
+    factor_degrees_mod_p,
+    is_squarefree,
+    parse_polynomial,
+    poly,
+    power_sums,
+)
+
+
+def frobenius_sample(f, prime_budget):
+    """The Frobenius degree patterns of f at its first `prime_budget` good
+    primes, as galois_group samples them, plus the discriminant parity."""
+    disc = discriminant(f)
+    primes = tuple(itertools.islice(_good_primes(f, disc), prime_budget))
+    return SimpleNamespace(
+        primes=primes,
+        patterns=tuple(sorted(factor_degrees_mod_p(f, p) for p in primes)),
+        discriminant_square=_is_rational_square(disc),
+    )
 
 
 class TestCatalog:
@@ -84,24 +106,24 @@ class TestCycleTypes:
     def test_example2_quintic_patterns(self):
         # C5 Galois group: Frobenius elements are the identity or 5-cycles
         f = poly([-1, 3, 3, -4, -1, 1])
-        ev = cycle_types(f, prime_budget=40)
+        ev = frobenius_sample(f, prime_budget=40)
         assert set(ev.patterns) <= {(1, 1, 1, 1, 1), (5,)}
         assert (5,) in ev.patterns
         assert ev.discriminant_square  # C5 is even
 
     def test_cubic(self):
-        ev = cycle_types(poly([-2, 0, 0, 1]), prime_budget=40)
+        ev = frobenius_sample(poly([-2, 0, 0, 1]), prime_budget=40)
         assert (1, 2) in ev.patterns and (3,) in ev.patterns
         assert not ev.discriminant_square
         assert discriminant(poly([-2, 0, 0, 1])) == -108
 
     def test_quadratic(self):
-        ev = cycle_types(poly([1, 0, 1]), prime_budget=30)
+        ev = frobenius_sample(poly([1, 0, 1]), prime_budget=30)
         assert set(ev.patterns) == {(1, 1), (2,)}
 
     def test_primes_avoid_disc_and_lc(self):
         f = poly([6, 0, 4, -4, 1])
-        ev = cycle_types(f, prime_budget=20)
+        ev = frobenius_sample(f, prime_budget=20)
         d = abs(int(discriminant(f)))
         for p in ev.primes:
             assert p >= 10**4 and d % p and f.lc % p
@@ -109,7 +131,7 @@ class TestCycleTypes:
     def test_patterns_partition_the_degree(self):
         for coeffs in ([6, 0, 4, -4, 1], [-1, 3, 3, -4, -1, 1], [1, 1, 0, 0, 0, 0, 1]):
             f = poly(coeffs)
-            ev = cycle_types(f, prime_budget=15)
+            ev = frobenius_sample(f, prime_budget=15)
             for pattern in ev.patterns:
                 assert sum(pattern) == f.degree
                 assert all(part >= 1 for part in pattern)
@@ -286,7 +308,7 @@ class TestGaloisGroup:
                 continue
             f = parse_polynomial(text)
             e = galois_group(f)
-            ev = cycle_types(f, prime_budget=25)
+            ev = frobenius_sample(f, prime_budget=25)
             for pattern in ev.patterns:
                 assert pattern in e.cycle_type_set(), (text, pattern)
 
