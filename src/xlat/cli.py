@@ -4,7 +4,7 @@ Subcommands: isqtrivial, fastbasis, galois, lattice rat, galoislike, bench,
 catalog verify.  Reports are JSON on stdout; human diagnostics go to stderr.
 Exit codes: 0 done (verdicts, including negative ones, are "done"),
 1 input error, 2 identification failure, 3 inconclusive module check or
-exhausted precision.
+exhausted precision, 4 internal error (a failed soundness check).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import (
     DegreeOutOfRange,
     GaloisFail,
     InputError,
+    InternalError,
     ModuleCheckInconclusive,
     PrecisionExhausted,
     XlatError,
@@ -42,6 +43,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_GALOISFAIL = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +185,11 @@ def run_bench(cfg: BenchConfig):
         "GaloisFail": sum(r["outcome"] == "GaloisFail" for r in rows),
         "InputRegenerated": sum(r["outcome"] == "InputRegenerated" for r in rows),
     }
-    assert counts["Qtrivial"] + counts["NotQtrivial"] + counts["GaloisFail"] + counts[
-        "InputRegenerated"
-    ] == cfg.count
-    assert counts["TwoTransitive"] <= counts["Qtrivial"]
+    outcomes = ("Qtrivial", "NotQtrivial", "GaloisFail", "InputRegenerated")
+    if sum(counts[k] for k in outcomes) != cfg.count:
+        raise InternalError("bench outcome counts do not add up to the count")
+    if counts["TwoTransitive"] > counts["Qtrivial"]:
+        raise InternalError("bench counts more 2-transitive than Q-trivial outcomes")
     timed = [r["time_ms"] for r in rows if r["outcome"] in ("Qtrivial", "NotQtrivial")]
     avg = sum(timed) / len(timed) if timed else 0.0
     summary = BenchSummary(
@@ -391,6 +394,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
+    except InternalError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return EXIT_INTERNAL
     except XlatError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_INPUT

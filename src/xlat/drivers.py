@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import is_prime, is_prime_power
-from .errors import GaloisFail, InputError, ModuleCheckInconclusive, NotIrreducible
-from .galois import TransitiveGroupEntry, galois_group
+from .errors import GaloisFail, InputError, InternalError, ModuleCheckInconclusive, NotIrreducible
+from .galois import TransitiveGroupEntry, entry_for_group, galois_group
 from .lattice import IntegerLattice, hnf, ror_lattice
 from .numtests import NOT_ROR, RorWitness, is_ror
 from .permgroup import PermutationGroup
@@ -166,7 +166,8 @@ def is_qtrivial(
 
 def _qtrivial_from_group_entry(entry, n, seed, timings) -> QtrivialVerdict:
     if entry.is_2transitive:
-        assert entry.group.is_2transitive()  # path consistency, re-asserted
+        if not entry.group.is_2transitive():
+            raise InternalError(f"{entry.label()} is flagged 2-transitive but its group is not")
         return QtrivialVerdict(verdict=True, path=PATH_2TRANS, group=entry)
     if not in_set_S(n):
         return QtrivialVerdict(verdict=False, path=PATH_NOT_IN_S, group=entry)
@@ -174,22 +175,6 @@ def _qtrivial_from_group_entry(entry, n, seed, timings) -> QtrivialVerdict:
     ok = _module_check(entry.group, seed)
     timings["module_ms"] = 1000 * (time.perf_counter() - t0)
     return QtrivialVerdict(verdict=ok, path=PATH_MODULE, group=entry)
-
-
-def entry_for_group(group: PermutationGroup, name: str = "user") -> TransitiveGroupEntry:
-    """Wrap an explicitly supplied permutation group (degrees beyond the
-    catalog, or a caller that already knows the group)."""
-    return TransitiveGroupEntry(
-        degree=group.degree,
-        t_number=None,
-        name=name,
-        order=group.order(),
-        generators=tuple(g.to_cycle_string() for g in group.generators),
-        group=group,
-        is_2transitive=group.is_2transitive(),
-        is_2homogeneous=group.is_2homogeneous(),
-        parity_even=group.is_even_subgroup(),
-    )
 
 
 def is_qtrivial_group(
@@ -256,7 +241,7 @@ def in_E_plus(f: UnivariatePolynomial, seed: int = 0) -> EPlusDiagnosis:
         )
     if g.degree == 1:
         # a linear base always has its (rational) root a root of rational
-        raise AssertionError("linear base must be a root of rational")
+        raise InternalError("linear base must be a root of rational")
     try:
         verdict = is_qtrivial(g, seed=seed)
     except (GaloisFail, ModuleCheckInconclusive) as exc:
@@ -339,10 +324,11 @@ def fastbasis_plus(f: UnivariatePolynomial, seed: int = 0) -> FastBasisResult:
         else:
             base_lattice = IntegerLattice(n, ())
         certificate = "QtrivialTrivialLattice"
-        for row in base_lattice.basis:
-            assert prod_roots ** row[0] == 1  # verified relation
+        if any(prod_roots ** row[0] != 1 for row in base_lattice.basis):
+            raise InternalError("a basis vector of the trivial lattice is not a relation")
     lat = _lift_to_power(base_lattice, n, k)
-    assert lat.rank == base_lattice.rank + n * (k - 1)
+    if lat.rank != base_lattice.rank + n * (k - 1):
+        raise InternalError("lifting to the power changed the rank unexpectedly")
     return FastBasisResult(
         status="Basis",
         basis=lat,

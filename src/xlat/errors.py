@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all xlat modules.
 
 Exit-code mapping used by the CLI: InputError -> 1, GaloisFail -> 2,
-ModuleCheckInconclusive / PrecisionExhausted -> 3.
+ModuleCheckInconclusive / PrecisionExhausted -> 3, InternalError -> 4.
 """
 
 
@@ -11,6 +11,10 @@ class XlatError(Exception):
 
 class InputError(XlatError):
     """Invalid input to a top-level driver (reducible polynomial, zero constant term, ...)."""
+
+
+class InternalError(XlatError):
+    """A soundness check inside xlat failed: a bug or corrupt data, not bad input."""
 
 
 # polycore

@@ -14,7 +14,7 @@ in the test suite).  Identification pipeline:
    precomputed orbit tables;
 4. anything still ambiguous is an explicit GaloisFail.
 
-Every observed cycle type is asserted to occur in the returned group.
+Every observed cycle type is checked to occur in the returned group.
 """
 
 from __future__ import annotations
@@ -30,7 +30,14 @@ from pathlib import Path
 import mpmath
 
 from .arith import primes_from
-from .errors import CatalogCorrupt, DegreeOutOfRange, GaloisFail, NotIrreducible
+from .errors import (
+    CatalogCorrupt,
+    DegreeOutOfRange,
+    GaloisFail,
+    InternalError,
+    NotIrreducible,
+    PrecisionExhausted,
+)
 from .permgroup import PermutationGroup
 from .polycore import (
     UnivariatePolynomial,
@@ -84,6 +91,28 @@ class TransitiveGroupEntry:
         }
 
 
+def entry_for_group(
+    group: PermutationGroup, name: str = "user", t_number=None, generators=None
+) -> TransitiveGroupEntry:
+    """The entry of a permutation group: its order and its 2-transitivity,
+    2-homogeneity and parity flags.  A group supplied without catalog data
+    (degrees beyond the catalog, or a caller that already knows the group)
+    gets no T-number and its generators in cycle notation."""
+    if generators is None:
+        generators = tuple(g.to_cycle_string() for g in group.generators)
+    return TransitiveGroupEntry(
+        degree=group.degree,
+        t_number=t_number,
+        name=name,
+        order=group.order(),
+        generators=generators,
+        group=group,
+        is_2transitive=group.is_2transitive(),
+        is_2homogeneous=group.is_2homogeneous(),
+        parity_even=group.is_even_subgroup(),
+    )
+
+
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -130,19 +159,7 @@ def load_catalog():
             raise CatalogCorrupt(f"{degree}T{t_number}: order {group.order()} != {order}")
         if not group.is_transitive():
             raise CatalogCorrupt(f"{degree}T{t_number}: not transitive")
-        entries.append(
-            TransitiveGroupEntry(
-                degree=degree,
-                t_number=t_number,
-                name=name,
-                order=order,
-                generators=gens,
-                group=group,
-                is_2transitive=group.is_2transitive(),
-                is_2homogeneous=group.is_2homogeneous(),
-                parity_even=group.is_even_subgroup(),
-            )
-        )
+        entries.append(entry_for_group(group, name, t_number=t_number, generators=gens))
     counts = {}
     for e in entries:
         counts[e.degree] = counts.get(e.degree, 0) + 1
@@ -286,7 +303,8 @@ def _quintic_coset_objects():
             tuple(sorted((rep(a), rep(b), rep(c), rep(d)))) for (a, b, c, d) in _DUMMIT_TERMS
         )
         objects.append([t for t in sorted(terms)])
-    assert len(objects) == 6 and len({frozenset(o) for o in objects}) == 6
+    if len(objects) != 6 or len({frozenset(o) for o in objects}) != 6:
+        raise InternalError("the quintic coset invariant does not have six distinct images")
     _quintic_objects_cache = objects
     return objects
 
@@ -331,7 +349,7 @@ def _numeric_orbit_resolvent(f: UnivariatePolynomial, objects) -> UnivariatePoly
     while first != second:
         dps *= 2
         if dps > 3000:
-            raise AssertionError("orbit resolvent rounding failed to stabilize")
+            raise PrecisionExhausted("orbit resolvent rounding failed to stabilize")
         first = coeffs_at(dps)
         second = coeffs_at(dps + 30)
     return UnivariatePolynomial(first)
@@ -409,7 +427,7 @@ def resolvent_pattern(f: UnivariatePolynomial, kind: str) -> tuple:
             for g, mult in factor_z(res).factors:
                 degs.extend([g.degree] * mult)
             return tuple(sorted(degs))
-    raise AssertionError("no squarefree resolvent after 40 transformations")
+    raise GaloisFail(f"no squarefree {kind} resolvent after 40 transformations")
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +467,7 @@ def galois_group(
                 break
 
     if not candidates:
-        raise AssertionError("the true group was filtered out; catalog or input invalid")
+        raise InternalError("the true group was filtered out; catalog or input invalid")
     if len(candidates) > 1:
         raise GaloisFail(
             "ambiguous identification among " + ", ".join(e.label() for e in candidates)
@@ -459,5 +477,5 @@ def galois_group(
     types = winner.cycle_type_set()
     for p, pattern in observed:
         if pattern not in types:
-            raise AssertionError(f"cycle type {pattern} at p={p} not realized in {winner.label()}")
+            raise InternalError(f"cycle type {pattern} at p={p} not realized in {winner.label()}")
     return winner

@@ -29,7 +29,7 @@ import mpmath
 
 from .arith import factor_int
 from .drivers import is_qtrivial_group
-from .errors import DegreeTooLarge, InputError, PrecisionExhausted
+from .errors import DegreeTooLarge, InputError, InternalError, PrecisionExhausted
 from .galois import galois_group
 from .lattice import (
     IntegerLattice,
@@ -41,7 +41,7 @@ from .lattice import (
     span_plus_allones,
 )
 from .numtests import NOT_ROR, is_ror
-from .permgroup import Permutation, PermutationGroup, group_from_elements
+from .permgroup import Permutation, PermutationGroup, conjugates_into, group_from_elements
 from .polycore import UnivariatePolynomial, factor_z, is_squarefree
 from .roots import approx_roots
 
@@ -275,10 +275,13 @@ class GaloisLikeTriple:
     value_group: tuple  # permutations fixing every rational root-power value
     rational_group: tuple  # permutations preserving rationality of values
     degree: int
+    _groups: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def wrapped(self, which: str) -> PermutationGroup:
-        elements = getattr(self, which)
-        return group_from_elements(self.degree, list(elements))
+        """The named element set as a PermutationGroup, built on first use."""
+        if which not in self._groups:
+            self._groups[which] = group_from_elements(self.degree, list(getattr(self, which)))
+        return self._groups[which]
 
     def orders(self):
         return {
@@ -319,8 +322,8 @@ def galois_like_groups(r_f: IntegerLattice, r_fq: IntegerLattice, n: int) -> Gal
         relation_group=tuple(rel), value_group=tuple(val), rational_group=tuple(rat), degree=n
     )
     value_set = set(triple.value_group)
-    assert value_set <= set(triple.relation_group)
-    assert value_set <= set(triple.rational_group)
+    if not value_set <= set(triple.relation_group) or not value_set <= set(triple.rational_group):
+        raise InternalError("the value group is not inside the relation and rational groups")
     return triple
 
 
@@ -335,6 +338,7 @@ class RootClassification:
     rational_values: tuple  # Fractions, in canonical position order
     nonror_positions: tuple
     ror_irrational_positions: tuple
+    irreducible: bool  # f is irreducible over Q
 
 
 def classify_roots(f: UnivariatePolynomial, system: RootSystem) -> RootClassification:
@@ -378,6 +382,7 @@ def classify_roots(f: UnivariatePolynomial, system: RootSystem) -> RootClassific
         rational_values=tuple(rational_values),
         nonror_positions=tuple(nonror),
         ror_irrational_positions=tuple(ror_irr),
+        irreducible=fac.is_irreducible,
     )
 
 
@@ -418,6 +423,15 @@ class TrivialityReport:
     detail: dict = field(default_factory=dict)
 
 
+def _oracle_view(f: UnivariatePolynomial, precision: int, lattices):
+    """The oracle lattices (unless supplied), their Galois-like groups and the
+    root classification of f."""
+    system = RootSystem.of(f, precision)
+    r_f, r_fq = lattices if lattices is not None else numeric_lattices(f, precision)
+    triple = galois_like_groups(r_f, r_fq, f.degree)
+    return r_f, r_fq, triple, classify_roots(f, system)
+
+
 def check_rftri(f: UnivariatePolynomial, precision: int = 100, lattices=None) -> TrivialityReport:
     """Both sides of the exact-value triviality characterization.
 
@@ -428,13 +442,9 @@ def check_rftri(f: UnivariatePolynomial, precision: int = 100, lattices=None) ->
     roots) is trivial.  The report asserts the biconditional.
     """
     _check_pre(f)
-    system = RootSystem.of(f, precision)
-    r_f, r_fq = lattices if lattices is not None else numeric_lattices(f, precision)
-    n = f.degree
-    triple = galois_like_groups(r_f, r_fq, n)
+    r_f, r_fq, triple, cls = _oracle_view(f, precision, lattices)
     left = is_trivial(r_f)
-    cond_group = len(triple.relation_group) == math.factorial(n)
-    cls = classify_roots(f, system)
+    cond_group = len(triple.relation_group) == math.factorial(f.degree)
     cond_roots = len(cls.ror_irrational_positions) == 0
     cond_third = True
     vector = None
@@ -462,16 +472,12 @@ def check_rfqtri(f: UnivariatePolynomial, precision: int = 100, lattices=None) -
     root is a root of rational; and f is irreducible.
     """
     _check_pre(f)
-    system = RootSystem.of(f, precision)
-    r_f, r_fq = lattices if lattices is not None else numeric_lattices(f, precision)
-    n = f.degree
-    triple = galois_like_groups(r_f, r_fq, n)
+    r_f, r_fq, triple, cls = _oracle_view(f, precision, lattices)
     left = is_trivial(r_fq)
-    cond_group = len(triple.value_group) == math.factorial(n)
-    cls = classify_roots(f, system)
+    cond_group = len(triple.value_group) == math.factorial(f.degree)
     no_ror_roots = len(cls.rational_values) == 0 and len(cls.ror_irrational_positions) == 0
-    cond_roots = n == 1 or no_ror_roots
-    cond_third = factor_z(f).is_irreducible
+    cond_roots = f.degree == 1 or no_ror_roots
+    cond_third = cls.irreducible
     right = cond_group and cond_roots and cond_third
     return TrivialityReport(
         polynomial=f,
@@ -506,29 +512,16 @@ class CorpusItemResult:
     failures: list
 
 
-def _is_closed_group(degree: int, elements) -> bool:
-    elements = list(elements)
-    if not elements:
+def _is_closed_group(triple: GaloisLikeTriple, which: str) -> bool:
+    elements = getattr(triple, which)
+    if Permutation.identity(triple.degree) not in elements:
         return False
-    if Permutation.identity(degree) not in set(elements):
-        return False
-    if len(elements) == math.factorial(degree):
+    if len(elements) == math.factorial(triple.degree):
         return True
-    wrapped = group_from_elements(degree, elements)
+    wrapped = triple.wrapped(which)
     if wrapped.order() != len(elements):
         return False
     return all(wrapped.contains(e) for e in elements)
-
-
-def _embeds_in(degree: int, small: PermutationGroup, big_set) -> bool:
-    """Is some relabeling-conjugate of `small` contained in the element set?"""
-    big = set(big_set)
-    for images in itertools.permutations(range(1, degree + 1)):
-        tau = Permutation(images)
-        tau_inv = tau.inverse()
-        if all((tau * g * tau_inv) in big for g in small.generators):
-            return True
-    return False
 
 
 def check_section3_properties(
@@ -547,15 +540,12 @@ def check_section3_properties(
         checks = {}
         failures = []
         try:
-            system = RootSystem.of(f, precision)
-            r_f, r_fq = lattices if lattices is not None else numeric_lattices(f, precision)
+            r_f, r_fq, triple, cls = _oracle_view(f, precision, lattices)
             n = f.degree
-            triple = galois_like_groups(r_f, r_fq, n)
-            cls = classify_roots(f, system)
 
             # (a) each filtered set is a group
             for which in ("relation_group", "value_group", "rational_group"):
-                ok = _is_closed_group(n, getattr(triple, which))
+                ok = _is_closed_group(triple, which)
                 checks[f"closure:{which}"] = ok
                 if not ok:
                     failures.append(f"closure failed: {which}")
@@ -569,10 +559,10 @@ def check_section3_properties(
                 failures.append("value group not contained in the other groups")
 
             # (b) the Galois group embeds in the value group (irreducible inputs)
-            if factor_z(f).is_irreducible and 2 <= n <= 7:
+            if cls.irreducible and 2 <= n <= 7:
                 try:
                     entry = galois_group(f)
-                    ok = _embeds_in(n, entry.group, triple.value_group)
+                    ok = conjugates_into(entry.group, set(triple.value_group).__contains__)
                     checks["galois_embeds"] = ok
                     if not ok:
                         failures.append("Galois group does not embed in the value group")
@@ -603,10 +593,10 @@ def check_section3_properties(
             # the exact lattice under the relation group, the rational-value
             # lattice under either of the other two groups
             checks["equal_coords_exact"] = _equal_coords_check(
-                triple, ("relation_group",), r_f, cls, n
+                triple, ("relation_group",), r_f, cls
             )
             checks["equal_coords_rational"] = _equal_coords_check(
-                triple, ("value_group", "rational_group"), r_fq, cls, n
+                triple, ("value_group", "rational_group"), r_fq, cls
             )
             for key in ("equal_coords_exact", "equal_coords_rational"):
                 if checks[key] == "failed":
@@ -614,11 +604,11 @@ def check_section3_properties(
 
             # (e) four-way equivalences when the side conditions hold
             checks["four_equivalent_exact"] = _four_equivalences(
-                triple, "relation_group", cls, f, n, rfq_side=False
+                triple, "relation_group", cls, rfq_side=False
             )
             for which in ("value_group", "rational_group"):
                 checks[f"four_equivalent_{which}"] = _four_equivalences(
-                    triple, which, cls, f, n, rfq_side=True
+                    triple, which, cls, rfq_side=True
                 )
             for key in (
                 "four_equivalent_exact",
@@ -633,18 +623,17 @@ def check_section3_properties(
     return results
 
 
-def _equal_coords_check(triple, which_names, lattice, cls, n):
+def _equal_coords_check(triple, which_names, lattice, cls):
     """On non-ROR positions every relation has equal coordinates, all equal to
     the coordinate average, whenever one of the named groups is 2-transitive."""
+    n = triple.degree
     if n < 2:
         return "n/a"
     two_transitive = False
     for which in which_names:
-        elements = getattr(triple, which)
-        if len(elements) < 2:
+        if len(getattr(triple, which)) < 2:
             continue
-        grp = group_from_elements(n, list(elements))
-        if grp.is_2transitive():
+        if triple.wrapped(which).is_2transitive():
             two_transitive = True
             break
     if not two_transitive:
@@ -657,14 +646,15 @@ def _equal_coords_check(triple, which_names, lattice, cls, n):
     return True
 
 
-def _four_equivalences(triple, which, cls, f, n, rfq_side):
+def _four_equivalences(triple, which, cls, rfq_side):
+    n = triple.degree
     if n < 2:
         return "n/a"
     if rfq_side:
         side = (
             len(cls.rational_values) == 0
             and len(cls.ror_irrational_positions) == 0
-            and factor_z(f).is_irreducible
+            and cls.irreducible
         )
     else:
         side = len(cls.ror_irrational_positions) == 0 and is_trivial(
@@ -672,9 +662,8 @@ def _four_equivalences(triple, which, cls, f, n, rfq_side):
         )
     if not side:
         return "n/a"
-    elements = getattr(triple, which)
-    full = len(elements) == math.factorial(n)
-    grp = group_from_elements(n, list(elements))
+    full = len(getattr(triple, which)) == math.factorial(n)
+    grp = triple.wrapped(which)
     try:
         two_trans = grp.is_2transitive()
         two_homog = grp.is_2homogeneous()

@@ -2,8 +2,8 @@
 
 * is_ror: does every root of an irreducible g have a rational m-th power?
 * is_degenerate: is some quotient of two distinct roots a root of unity?
-* has_cyclotomic_factor: cyclotomic-factor detection via the Graeffe-squaring
-  fixed-point characterization, factor by factor.
+* has_cyclotomic_factor: cyclotomic-factor detection, factor by factor, by
+  matching each irreducible factor against Phi_d with phi(d) its degree.
 
 The quotient polynomial (roots r_i / r_j, i != j) is assembled exactly from
 power sums of f and of its reversed polynomial, then the diagonal (x-1)^n is
@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import euler_phi
-from .errors import NotIrreducible, NotSquarefree, ZeroConstantTerm
+from .errors import InternalError, NotIrreducible, NotSquarefree, ZeroConstantTerm
 from .polycore import (
     UnivariatePolynomial,
-    _graeffe_square,
     div_exact,
     factor_z,
     graeffe,
@@ -29,7 +28,6 @@ from .polycore import (
     poly,
     poly_from_power_sums,
     power_sums,
-    squarefree_part,
 )
 
 
@@ -73,37 +71,6 @@ def cyclotomic_polynomial(d: int) -> UnivariatePolynomial:
     return num
 
 
-def _is_cyclotomic_irreducible(f: UnivariatePolynomial) -> bool:
-    """f irreducible over Q: True iff f is some cyclotomic polynomial.
-
-    Repeated squarefree Graeffe squaring reaches a fixed point iff the root
-    set is closed under squaring after finitely many steps, which for an
-    irreducible polynomial happens exactly when all roots are roots of unity.
-    Cyclotomics are monic with constant term +-1, and a monic integer
-    polynomial with all roots on the unit circle has coefficients bounded by
-    binomials, so violating either property along the way proves a root off
-    the unit circle and the iteration can stop (this also keeps coefficient
-    growth of non-cyclotomic inputs in check).
-    """
-    cur = f.primitive_part()
-    if cur.lc < 0:
-        cur = -cur
-    k = f.degree
-    if k < 1 or cur.lc != 1 or abs(cur[0]) != 1:
-        return False
-    height_cap = 2**k
-    # order d has v_2(d) <= log2(2k^2); a couple of spare iterations for safety
-    iterations = max(4, (2 * k * k).bit_length() + 2)
-    for _ in range(iterations):
-        nxt = squarefree_part(_graeffe_square(cur))
-        if nxt == cur:
-            return True
-        if nxt.lc != 1 or abs(nxt[0]) != 1 or max(abs(c) for c in nxt.coeffs) > height_cap:
-            return False
-        cur = nxt
-    return False
-
-
 def cyclotomic_order(f: UnivariatePolynomial):
     """The d with f == Phi_d, or None."""
     k = f.degree
@@ -112,6 +79,9 @@ def cyclotomic_order(f: UnivariatePolynomial):
     g = f.primitive_part()
     if g.lc < 0:
         g = -g
+    if g.lc != 1 or abs(g[0]) != 1:
+        return None  # every Phi_d is monic with constant term +-1
+    # phi(d) >= sqrt(d / 2), so phi(d) = k forces d <= 2 k^2
     for d in range(1, 2 * k * k + 2):
         if euler_phi(d) == k and g == cyclotomic_polynomial(d):
             return d
@@ -126,7 +96,7 @@ def has_cyclotomic_factor(h: UnivariatePolynomial):
         return False, []
     found = []
     for g, _mult in factor_z(h).factors:
-        if _is_cyclotomic_irreducible(g):
+        if cyclotomic_order(g) is not None:
             found.append(g)
     return bool(found), found
 
@@ -198,7 +168,7 @@ def is_ror(g: UnivariatePolynomial):
         q = _all_roots_common_power(g, m)
         if q is not None:
             return RorWitness(m, q)
-    raise AssertionError("all root quotients are roots of unity; a witness must exist")
+    raise InternalError("all root quotients are roots of unity; a witness must exist")
 
 
 def _all_roots_common_power(g: UnivariatePolynomial, m: int):

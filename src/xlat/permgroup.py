@@ -9,6 +9,7 @@ than by character sums.
 
 from __future__ import annotations
 
+import itertools
 import re
 import threading
 from dataclasses import dataclass
@@ -50,36 +51,13 @@ class Permutation:
         return all(img == i + 1 for i, img in enumerate(self.images))
 
     def is_even(self) -> bool:
-        seen = [False] * len(self.images)
-        sign = 1
-        for i in range(len(self.images)):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j] - 1
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign == 1
+        # a k-cycle is a product of k - 1 transpositions
+        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
 
     def cycle_type(self) -> tuple:
         """Sorted cycle lengths including fixed points (a partition of n)."""
-        seen = [False] * len(self.images)
-        lengths = []
-        for i in range(len(self.images)):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j] - 1
-                length += 1
-            lengths.append(length)
-        return tuple(sorted(lengths))
+        lengths = [len(c) for c in self.cycles()]
+        return (1,) * (len(self.images) - sum(lengths)) + tuple(sorted(lengths))
 
     def cycles(self):
         """Nontrivial cycles, each rotated to start at its smallest point."""
@@ -175,15 +153,9 @@ class PermutationGroup:
 
     def orbits(self):
         """Partition of the points into orbits, each sorted, ordered by minimum."""
-        seen = set()
-        out = []
-        for start in range(1, self.degree + 1):
-            if start in seen:
-                continue
-            orb = _orbit(start, self.generators)
-            seen |= orb
-            out.append(tuple(sorted(orb)))
-        return out
+        points = range(1, self.degree + 1)
+        orbs = orbit_partition(self.generators, points, Permutation.__call__)
+        return sorted(tuple(sorted(o)) for o in orbs)
 
     def is_transitive(self) -> bool:
         if self.degree < 2:
@@ -210,15 +182,8 @@ class PermutationGroup:
 
     def point_stabilizer(self, point: int) -> "PermutationGroup":
         """Stabilizer of a point, generated by its Schreier generators."""
-        orb, transversal = _orbit_transversal(point, self.generators, self.degree)
-        gens = []
-        for p in sorted(orb):
-            u_p = transversal[p]
-            for g in self.generators:
-                s = transversal[g(p)].inverse() * g * u_p
-                if not s.is_identity and s not in gens:
-                    gens.append(s)
-        return PermutationGroup(self.degree, gens)
+        transversal = _orbit_transversal(point, self.generators, self.degree)
+        return PermutationGroup(self.degree, _schreier_generators(transversal, self.generators))
 
     def block_systems(self):
         """All nontrivial block systems, found by direct partition search.
@@ -260,9 +225,6 @@ class PermutationGroup:
             frontier = nxt
         return sorted(seen, key=lambda p: p.images)
 
-    def conjugate(self, tau: Permutation) -> "PermutationGroup":
-        return PermutationGroup(self.degree, [tau * g * tau.inverse() for g in self.generators])
-
     def cycle_types(self):
         """Set of cycle types over all elements (uses full enumeration)."""
         return sorted({g.cycle_type() for g in self.enumerate_elements()})
@@ -274,21 +236,6 @@ class PermutationGroup:
 
 # ---------------------------------------------------------------------------
 # internals
-
-
-def _orbit(start, gens):
-    orb = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = g(p)
-                if q not in orb:
-                    orb.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return orb
 
 
 def _orbit_transversal(start, gens, degree):
@@ -303,7 +250,19 @@ def _orbit_transversal(start, gens, degree):
                     transversal[q] = g * transversal[p]
                     nxt.append(q)
         frontier = nxt
-    return set(transversal), transversal
+    return transversal
+
+
+def _schreier_generators(transversal, gens):
+    """Schreier generators of the stabilizer of the transversal's base point."""
+    out = []
+    for p in sorted(transversal):
+        u_p = transversal[p]
+        for g in gens:
+            s = transversal[g(p)].inverse() * g * u_p
+            if not s.is_identity and s not in out:
+                out.append(s)
+    return out
 
 
 def _build_chain(degree, gens):
@@ -312,16 +271,9 @@ def _build_chain(degree, gens):
     level_gens = [g for g in gens if not g.is_identity]
     while level_gens:
         base = min(p for g in level_gens for p in range(1, degree + 1) if g(p) != p)
-        _orb, transversal = _orbit_transversal(base, level_gens, degree)
+        transversal = _orbit_transversal(base, level_gens, degree)
         chain.append((base, transversal, tuple(level_gens)))
-        stab_gens = []
-        for p in sorted(transversal):
-            u_p = transversal[p]
-            for g in level_gens:
-                s = transversal[g(p)].inverse() * g * u_p
-                if not s.is_identity and s not in stab_gens:
-                    stab_gens.append(s)
-        level_gens = stab_gens
+        level_gens = _schreier_generators(transversal, level_gens)
     return chain
 
 
@@ -409,16 +361,21 @@ def group_from_elements(degree: int, elements) -> PermutationGroup:
     return group
 
 
-def are_conjugate_in_sym(a: PermutationGroup, b: PermutationGroup) -> bool:
-    """Brute-force conjugacy test inside the full symmetric group (degree <= 8)."""
-    import itertools as _it
+def conjugates_into(small: PermutationGroup, contains) -> bool:
+    """Brute-force search over Sym(n) (degree <= 8) for a tau with
+    contains(tau g tau^-1) true for every generator g of `small`."""
+    for images in itertools.permutations(range(1, small.degree + 1)):
+        tau = Permutation(images)
+        tau_inv = tau.inverse()
+        if all(contains(tau * g * tau_inv) for g in small.generators):
+            return True
+    return False
 
+
+def are_conjugate_in_sym(a: PermutationGroup, b: PermutationGroup) -> bool:
+    """Conjugacy test inside the full symmetric group (degree <= 8)."""
     if a.degree != b.degree or a.order() != b.order():
         return False
     if sorted(a.cycle_types()) != sorted(b.cycle_types()):
         return False
-    for images in _it.permutations(range(1, a.degree + 1)):
-        tau = Permutation(images)
-        if all(b.contains(tau * g * tau.inverse()) for g in a.generators):
-            return True
-    return False
+    return conjugates_into(a, b.contains)

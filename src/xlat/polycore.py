@@ -409,11 +409,7 @@ def poly_from_power_sums(ps, n) -> UnivariatePolynomial:
 
 
 def _clear_denominators(coeffs) -> UnivariatePolynomial:
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
-    out = UnivariatePolynomial(ints).primitive_part()
+    out = _from_fraction_coeffs(coeffs).primitive_part()
     return -out if out.lc < 0 else out
 
 
@@ -934,8 +930,7 @@ def is_irreducible_z(f: UnivariatePolynomial) -> bool:
     """Irreducible over Q (degree >= 1, one factor, multiplicity 1)."""
     if f.is_zero or f.degree < 1:
         return False
-    fac = factor_z(f)
-    return len(fac.factors) == 1 and fac.factors[0][1] == 1
+    return factor_z(f).is_irreducible
 
 
 class NotPrimePower:

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .polycore import UnivariatePolynomial, factor_z
+from .errors import InternalError
+from .polycore import _from_fraction_coeffs, factor_z
 from .rng import SplitMix64
 
 
@@ -139,7 +140,7 @@ def _assert_invariant(action: QModuleAction, sub: Submodule):
         for v in sub.basis:
             image = _linalg.mat_vec(m, list(v))
             if not _linalg.row_space_contains(red, piv, image):
-                raise AssertionError("submodule failed invariance check")
+                raise InternalError("submodule failed invariance check")
 
 
 def commutant(action: QModuleAction):
@@ -173,16 +174,6 @@ def _poly_of_matrix(coeffs, m):
     return acc
 
 
-def _fraction_poly_to_int(coeffs):
-    import math
-
-    denom = 1
-    for c in coeffs:
-        c = Fraction(c)
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    return UnivariatePolynomial([int(Fraction(c) * denom) for c in coeffs])
-
-
 def _kernel_witness(action, matrix) -> Submodule | None:
     """Invariant kernel of a commutant/group-algebra polynomial image, if proper."""
     d = action.dim
@@ -198,7 +189,7 @@ def _kernel_witness(action, matrix) -> Submodule | None:
 def _split_by_element(action, c) -> Submodule | None:
     """Stage 3: the kernel of q(c) for the first irreducible factor q of the
     characteristic polynomial of c; proper unless q is c's minimal polynomial."""
-    q = factor_z(_fraction_poly_to_int(_linalg.charpoly(c))).factors[0][0]
+    q = factor_z(_from_fraction_coeffs(_linalg.charpoly(c))).factors[0][0]
     return _kernel_witness(action, _poly_of_matrix(list(q.coeffs), c))
 
 
@@ -232,9 +223,7 @@ def is_q_irreducible(action: QModuleAction, seed: int = 0, max_rounds: int = 64)
     )
     for _round in range(max_rounds):
         theta = _random_algebra_element(action, rng)
-        cp = _linalg.charpoly(theta)
-        ip = _fraction_poly_to_int(cp)
-        for q, mult in factor_z(ip).factors:
+        for q, mult in factor_z(_from_fraction_coeffs(_linalg.charpoly(theta))).factors:
             if mult != 1:
                 continue
             if q.degree == d:

@@ -350,3 +350,45 @@ class TestSeparability:
                 pairs = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if x != y]
                 got = orbit_size_pattern(e.group, pairs, lambda g, p: (g(p[0]), g(p[1])))
                 assert got == table[(n, e.t_number, "OP2")], e.label()
+
+
+class TestCatalogValidation:
+    """Catalogs with a valid checksum that fail a structural check."""
+
+    @pytest.fixture
+    def write_catalog(self, tmp_path, monkeypatch):
+        import hashlib
+
+        import xlat.galois as mod
+
+        def write(edit):
+            lines = (mod._DATA_DIR / "catalog.txt").read_text().splitlines()
+            text = "\n".join(edit(lines)) + "\n"
+            path = tmp_path / "catalog.txt"
+            path.write_text(text)
+            (tmp_path / "catalog.sha256").write_text(hashlib.sha256(text.encode()).hexdigest() + "\n")
+            monkeypatch.setenv("XLAT_CATALOG", str(path))
+            mod._catalog_cache.clear()
+
+        yield write
+        monkeypatch.delenv("XLAT_CATALOG")
+        mod._catalog_cache.clear()
+
+    def test_wrong_order(self, write_catalog):
+        write_catalog(lambda lines: [l.replace("4 3 8 D4", "4 3 9 D4") for l in lines])
+        with pytest.raises(CatalogCorrupt, match=r"4T3: order 8 != 9"):
+            load_catalog()
+
+    def test_intransitive_group(self, write_catalog):
+        write_catalog(
+            lambda lines: [
+                "4 2 4 V4 (1,2) (3,4)" if l.startswith("4 2 4 V4") else l for l in lines
+            ]
+        )
+        with pytest.raises(CatalogCorrupt, match=r"4T2: not transitive"):
+            load_catalog()
+
+    def test_degree_missing(self, write_catalog):
+        write_catalog(lambda lines: [l for l in lines if not l.startswith("7 ")])
+        with pytest.raises(CatalogCorrupt, match=r"catalog counts .* != "):
+            load_catalog()
