@@ -4,7 +4,8 @@ Subcommands: isqtrivial, fastbasis, galois, lattice rat, galoislike, bench,
 catalog verify.  Reports are JSON on stdout; human diagnostics go to stderr.
 Exit codes: 0 done (verdicts, including negative ones, are "done"),
 1 input error, 2 identification failure, 3 inconclusive module check or
-exhausted precision, 4 internal error (a failed soundness check).
+exhausted precision, 4 internal error (a failed soundness check, corrupt
+data or any other library error that bad input does not explain).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     ModuleCheckInconclusive,
     PrecisionExhausted,
     XlatError,
+    ZeroEntry,
 )
 from .galois import galois_group, load_catalog
 from .galoislike import galois_like_groups, numeric_lattices
@@ -229,7 +231,11 @@ def _cmd_isqtrivial(args):
     group = None
     if args.group:
         gens = [g.strip() for g in args.group.split(";") if g.strip()]
-        group = entry_for_group(PermutationGroup(f.degree, gens))
+        try:
+            perm_group = PermutationGroup(f.degree, gens)
+        except ValueError as exc:
+            raise InputError(f"bad --group: {exc}") from None
+        group = entry_for_group(perm_group)
     verdict = is_qtrivial(f, group=group, seed=args.seed)
     report = {"command": "isqtrivial", "input": _input_block(args.poly, f)}
     report.update(verdict.to_json())
@@ -263,8 +269,11 @@ def _cmd_galois(args):
 def _cmd_lattice_rat(args):
     from fractions import Fraction
 
-    values = [Fraction(v) for v in args.values.split(",") if v.strip()]
-    lat = rat_mult_lattice(values)
+    try:
+        values = [Fraction(v) for v in args.values.split(",") if v.strip()]
+        lat = rat_mult_lattice(values)
+    except (ValueError, ZeroDivisionError, ZeroEntry) as exc:
+        raise InputError(f"bad values: {exc}") from None
     report = {
         "command": "lattice-rat",
         "input": {"values": [str(v) for v in values]},
@@ -347,7 +356,13 @@ def build_parser():
 
     p = sub.add_parser("galois", help="identify the Galois group (degree 2..7)")
     p.add_argument("poly")
-    p.add_argument("--prime-budget", type=int, default=80)
+    p.add_argument(
+        "--prime-budget",
+        type=int,
+        default=80,
+        help="most primes sampled for Frobenius cycle types, the ones that "
+        "prove irreducibility included (default 80)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_galois)
 
@@ -394,12 +409,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
-    except InternalError as exc:
-        sys.stderr.write(f"internal error: {exc}\n")
+    except XlatError as exc:  # InternalError, CatalogCorrupt, ...: not the input's fault
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
-    except XlatError as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_INPUT
     print(json.dumps(report, indent=2))
     return code
 

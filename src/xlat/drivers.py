@@ -4,7 +4,8 @@
   an irreducible rational polynomial acts Q-trivially, i.e. whether the
   permutation module on the roots admits no rational invariant subspace
   beyond 0 and the all-ones line.  Steps, in order: input validation
-  (reducible or vanishing constant term is an error), prime-degree shortcut,
+  (reducible or vanishing constant term, or a supplied group that is not
+  transitive of the input's degree, is an error), prime-degree shortcut,
   Galois group identification, double-transitivity shortcut, the
   degree-class test (outside the prime-power / 2^(f-1)(2^f-1) set the answer
   is forced negative), and finally the cyclic-module + irreducibility check.
@@ -140,6 +141,10 @@ def is_qtrivial(
     if f.degree < 2:
         raise InputError("the pair decision needs degree >= 2")
     n = f.degree
+    if group is not None and (group.degree != n or not group.group.is_transitive()):
+        # the Galois group of an irreducible polynomial is transitive on its
+        # roots, and the module check relies on it
+        raise InputError(f"the supplied group is not a transitive group of degree {n}")
     # galois_group proves irreducibility itself at degrees 2..7, so when the
     # group is needed from f its factorization is the only one
     group_checks_irreducible = group is None and n <= 7 and not is_prime(n)

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all xlat modules.
 
 Exit-code mapping used by the CLI: InputError -> 1, GaloisFail -> 2,
-ModuleCheckInconclusive / PrecisionExhausted -> 3, InternalError -> 4.
+ModuleCheckInconclusive / PrecisionExhausted -> 3, and 4 for InternalError
+and every other XlatError that is not an InputError (CatalogCorrupt,
+WitnessInvalid, ...): a valid input met a fault in xlat or its data.
 """
 
 

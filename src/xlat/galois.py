@@ -5,7 +5,11 @@ permutation groups of degree 2..7 (classical data, revalidated on load and
 in the test suite).  Identification pipeline:
 
 1. exact parity certificate: disc(f) a rational square  <=>  group even;
-2. Dedekind cycle-type sampling modulo primes >= 10007 (sound exclusions);
+2. one loop over the good primes from 3: the factor degrees of f modulo
+   each prime are a Frobenius cycle type (Dedekind), which excludes
+   candidates, and also bound the degrees a rational factor of f could have,
+   which proves f irreducible once no proper degree is left (Musser);
+   an input whose proof is still open after four primes is factored once;
 3. resolvent certificates: factor-degree patterns of linear resolvents
    (pair sums, triple sums, weighted ordered pairs) built exactly from power
    sums, plus two orbit resolvents (perfect matchings at degree 6, the
@@ -48,6 +52,7 @@ from .polycore import (
     is_squarefree,
     poly_from_power_sums,
     power_sums,
+    subset_degree_sums,
 )
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -56,7 +61,7 @@ CATALOG_COUNTS = {2: 1, 3: 2, 4: 5, 5: 5, 6: 16, 7: 7}
 RESOLVENT_KINDS = {2: [], 3: [], 4: ["P2", "OP2"], 5: ["P2", "OP2", "COS6"], 6: ["P2", "P3", "OP2", "M15"], 7: ["P2", "P3"]}
 
 DEFAULT_PRIME_BUDGET = 80
-_PRIME_FLOOR = 10**4  # sample Frobenius elements away from small-prime bias
+_PROOF_PRIMES = 4  # primes sampled before an open irreducibility proof falls back to factor_z
 
 
 @dataclass
@@ -194,10 +199,12 @@ def resolvent_table():
 # cycle types (Dedekind reduction)
 
 
-def _good_primes(f, disc, start=_PRIME_FLOOR):
-    """Primes >= start dividing neither disc(f) (passed in) nor lc(f)."""
+def _good_primes(f, disc):
+    """Odd primes dividing neither disc(f) (passed in) nor lc(f): f stays
+    squarefree of the same degree modulo each, so its factor degrees there
+    are a Frobenius cycle type."""
     bad = abs(disc.numerator * disc.denominator * f.lc)
-    for p in primes_from(start):
+    for p in primes_from(3):
         if bad % p:
             yield p
 
@@ -434,29 +441,52 @@ def resolvent_pattern(f: UnivariatePolynomial, kind: str) -> tuple:
 # identification
 
 
+_NEEDS_IRREDUCIBLE = "Galois identification needs an irreducible input with f(0) != 0"
+
+
+def _require_irreducible(f: UnivariatePolynomial):
+    if not is_irreducible_z(f):
+        raise NotIrreducible(_NEEDS_IRREDUCIBLE)
+
+
 def galois_group(
     f: UnivariatePolynomial,
     prime_budget: int = DEFAULT_PRIME_BUDGET,
     seed: int = 0,
 ) -> TransitiveGroupEntry:
-    """The catalog entry permutation-isomorphic to the Galois group of f."""
+    """The catalog entry permutation-isomorphic to the Galois group of f.
+
+    prime_budget caps the primes of the sampling loop (at least one is
+    taken), the primes that prove irreducibility included.
+    """
     if f.degree < 2 or f.degree > 7:
         raise DegreeOutOfRange(f"degree {f.degree} outside 2..7 (supply --group instead)")
-    if f(0) == 0 or not is_irreducible_z(f):
-        raise NotIrreducible("Galois identification needs an irreducible input with f(0) != 0")
+    if f(0) == 0:
+        raise NotIrreducible(_NEEDS_IRREDUCIBLE)
     degree = f.degree
     disc = discriminant(f)
+    if disc == 0:
+        raise NotIrreducible(_NEEDS_IRREDUCIBLE)
     disc_square = _is_rational_square(disc)
     candidates = [e for e in catalog_for_degree(degree) if e.parity_even == disc_square]
 
+    # bit k set: f may still have a rational factor of degree k; 0 once f is
+    # proven irreducible.  A reducible f can empty the candidates, so the
+    # loop ends only after the proof (or at the budget, then factor_z).
+    possible = (1 << degree) - 2
     observed = []
-    if len(candidates) > 1:
-        for p in _good_primes(f, disc):
-            pattern = factor_degrees_mod_p(f, p)
-            observed.append((p, pattern))
-            candidates = [e for e in candidates if pattern in e.cycle_type_set()]
-            if len(candidates) <= 1 or len(observed) >= prime_budget:
-                break
+    for p in _good_primes(f, disc):
+        pattern = factor_degrees_mod_p(f, p)
+        observed.append((p, pattern))
+        candidates = [e for e in candidates if pattern in e.cycle_type_set()]
+        possible &= subset_degree_sums(pattern)
+        if possible and len(observed) == _PROOF_PRIMES:
+            _require_irreducible(f)
+            possible = 0
+        if (not possible and len(candidates) <= 1) or len(observed) >= prime_budget:
+            break
+    if possible:
+        _require_irreducible(f)
 
     if len(candidates) > 1:
         table = resolvent_table()

@@ -123,6 +123,7 @@ class PermutationGroup:
                 gens.append(g)
         self.generators = tuple(gens)
         self._chain = None
+        self._2transitive = None
         self._lock = threading.Lock()
 
     # -- stabilizer chain -----------------------------------------------------
@@ -165,8 +166,11 @@ class PermutationGroup:
     def is_2transitive(self) -> bool:
         if self.degree < 2:
             raise DegreeTooSmall("2-transitivity needs at least 2 points")
-        pairs = [(a, b) for a in range(1, self.degree + 1) for b in range(1, self.degree + 1) if a != b]
-        return len(orbit_partition(self.generators, pairs, _act_ordered_pair)) == 1
+        if self._2transitive is None:
+            n = self.degree
+            pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+            self._2transitive = len(orbit_partition(self.generators, pairs, _act_ordered_pair)) == 1
+        return self._2transitive
 
     def is_2homogeneous(self) -> bool:
         if self.degree < 2:

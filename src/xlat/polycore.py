@@ -722,11 +722,27 @@ def factor_degrees_mod_p(f: UnivariatePolynomial, p: int):
     """
     if f.lc % p == 0:
         raise BadPrime(f"{p} divides the leading coefficient")
-    fp = _gf_monic(_gf_from_poly(f, p), p)
-    degs = []
-    for block, d in _gf_ddf(fp, p):
-        degs.extend([d] * ((len(block) - 1) // d))
-    return tuple(sorted(degs))
+    return _ddf_degrees(_gf_ddf(_gf_monic(_gf_from_poly(f, p), p), p))
+
+
+def _ddf_degrees(blocks):
+    """Sorted irreducible-factor degrees of a distinct-degree factorization."""
+    return tuple(sorted(d for block, d in blocks for _ in range((len(block) - 1) // d)))
+
+
+def subset_degree_sums(degrees) -> int:
+    """Bit set of the subset sums of modular factor degrees (bit k: some of
+    the factors have degrees adding up to k).
+
+    The degree of a factor over Z is such a sum at every prime that keeps
+    the degree and squarefreeness, so intersecting these sets over several
+    primes bounds the possible factor degrees; when no proper degree
+    survives, the polynomial is irreducible (Musser 1975).
+    """
+    sums = 1
+    for d in degrees:
+        sums |= sums << d
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -834,11 +850,10 @@ def _gf_squarefree_image(f: UnivariatePolynomial, p: int):
 def _factor_squarefree_primitive(g: UnivariatePolynomial):
     """Irreducible factors of a primitive squarefree poly with positive lc.
 
-    Up to four good odd primes are tried with DDF alone.  The degree of a
-    factor over Z is a sum of modular factor degrees for every prime, so an
-    empty intersection of these subset sums (as bit sets) proves g
-    irreducible (Musser 1975); otherwise the prime with the fewest modular
-    factors is split by EDF, lifted and recombined.
+    Up to four good odd primes are tried with DDF alone; when the
+    intersection of their subset_degree_sums leaves no proper degree, g is
+    irreducible.  Otherwise the prime with the fewest modular factors is
+    split by EDF, lifted and recombined.
     """
     n = g.degree
     if n <= 1:
@@ -851,18 +866,13 @@ def _factor_squarefree_primitive(g: UnivariatePolynomial):
         if fp is None:
             continue
         blocks = _gf_ddf(fp, p)
-        sums = 1
-        count = 0
-        for block, d in blocks:
-            for _ in range((len(block) - 1) // d):
-                sums |= sums << d
-                count += 1
-        possible &= sums
+        degrees = _ddf_degrees(blocks)
+        possible &= subset_degree_sums(degrees)
         if not possible:
             return [g]
         tried += 1
-        if best is None or count < best[2]:
-            best = (p, blocks, count)
+        if best is None or len(degrees) < best[2]:
+            best = (p, blocks, len(degrees))
         if tried >= 4:
             break
     p, blocks, _ = best

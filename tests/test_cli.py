@@ -139,6 +139,43 @@ class TestCommands:
         assert "inconclusive" in err
 
 
+class TestExitCodes:
+    """Bad input exits 1 with an `input error:` line; a library error that
+    the input does not explain exits 4 with one `internal error:` line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("isqtrivial", "x^4+x+1", "--group", "(1 2 9)"),  # point 9 at degree 4
+            ("isqtrivial", "x^4+x+1", "--group", "(1 2)"),  # intransitive
+            ("lattice", "rat", "0,2"),
+            ("lattice", "rat", "2,a"),
+        ],
+    )
+    def test_bad_input_exit1(self, capsys, argv):
+        code, report, err = run_cli(capsys, *argv)
+        assert code == 1 and report is None
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
+    def test_corrupt_catalog_exit4(self, capsys, tmp_path, monkeypatch):
+        import hashlib
+
+        import xlat.galois as mod
+
+        text = "2 1 2 S2 (1,2)\n"  # a valid checksum over a one-line catalog
+        (tmp_path / "catalog.txt").write_text(text)
+        (tmp_path / "catalog.sha256").write_text(hashlib.sha256(text.encode()).hexdigest())
+        monkeypatch.setenv("XLAT_CATALOG", str(tmp_path / "catalog.txt"))
+        mod._catalog_cache.clear()
+        try:
+            code, report, err = run_cli(capsys, "galois", "x^5-x-1")
+        finally:
+            mod._catalog_cache.clear()
+        assert code == 4 and report is None
+        assert err.startswith("internal error: CatalogCorrupt: catalog counts")
+        assert err.count("\n") == 1
+
+
 class TestBench:
     def test_small_bench_summary(self, capsys, tmp_path):
         csv_path = tmp_path / "bench.csv"

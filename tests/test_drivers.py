@@ -94,6 +94,18 @@ class TestIsQtrivial:
         out = is_qtrivial(poly([12, 8, 0, 0, 1]), group=entry)
         assert out.verdict is True and out.path == "DoublyTransitive"
 
+    @pytest.mark.parametrize(
+        "group",
+        [
+            PermutationGroup(4, ["(1 2)"]),  # intransitive
+            PermutationGroup(4, ["(1 2)", "(3 4)"]),  # intransitive, two orbits
+            PermutationGroup(5, ["(1 2 3 4 5)"]),  # transitive, wrong degree
+        ],
+    )
+    def test_supplied_group_must_be_transitive_of_the_degree(self, group):
+        with pytest.raises(InputError, match="not a transitive group of degree 4"):
+            is_qtrivial(poly([1, 1, 0, 0, 1]), group=entry_for_group(group))
+
     def test_degree_one_rejected(self):
         with pytest.raises(InputError):
             is_qtrivial(poly([-2, 1]))
@@ -153,7 +165,28 @@ class TestWorkPerDecision:
         group_calls = self.count_calls(monkeypatch, "galois_group")
         out = is_qtrivial(f)
         assert out.group.label() == "6T16" and out.path == "DoublyTransitive"
-        assert (len(factor_calls), len(disc_calls), len(group_calls)) == (1, 1, 1)
+        assert (len(factor_calls), len(disc_calls), len(group_calls)) == (0, 1, 1)
+
+    def test_reducible_modulo_every_prime(self, monkeypatch):
+        # x^4 + 1 splits modulo every prime, so the degree sets never prove it
+        # irreducible and galois_group factors it once, after four primes
+        # (its resolvents are factored too)
+        import importlib
+
+        f = poly([1, 0, 0, 0, 1])
+        factored = []
+        for mod_name in ("polycore", "galois", "drivers", "numtests", "qmodule"):
+            mod = importlib.import_module(f"xlat.{mod_name}")
+            if hasattr(mod, "factor_z"):
+
+                def recording(g, _fn=mod.factor_z):
+                    factored.append(g)
+                    return _fn(g)
+
+                monkeypatch.setattr(mod, "factor_z", recording)
+        out = is_qtrivial(f)
+        assert out.group.label() == "4T2" and out.verdict is False
+        assert factored.count(f) == 1
 
     def test_quintic(self, monkeypatch):
         factor_calls = self.count_calls(monkeypatch, "factor_z")

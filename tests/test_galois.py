@@ -126,7 +126,7 @@ class TestCycleTypes:
         ev = frobenius_sample(f, prime_budget=20)
         d = abs(int(discriminant(f)))
         for p in ev.primes:
-            assert p >= 10**4 and d % p and f.lc % p
+            assert p >= 3 and d % p and f.lc % p
 
     def test_patterns_partition_the_degree(self):
         for coeffs in ([6, 0, 4, -4, 1], [-1, 3, 3, -4, -1, 1], [1, 1, 0, 0, 0, 0, 1]):
@@ -311,6 +311,101 @@ class TestGaloisGroup:
             ev = frobenius_sample(f, prime_budget=25)
             for pattern in ev.patterns:
                 assert pattern in e.cycle_type_set(), (text, pattern)
+
+
+class TestOnePrimeLoop:
+    """galois_group proves irreducibility from the same Frobenius patterns it
+    samples, and falls back to factor_z after four primes."""
+
+    @staticmethod
+    def sympy_reducible(f):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        _, factors = sympy.factor_list(sum(c * x**i for i, c in enumerate(f.coeffs)))
+        return len(factors) > 1 or factors[0][1] > 1
+
+    @staticmethod
+    def seeded_inputs():
+        from xlat.rng import SplitMix64
+
+        rng = SplitMix64(2024)
+
+        def rand(degree):
+            coeffs = [rng.randint(-6, 6) for _ in range(degree)] + [rng.randint(1, 4)]
+            if coeffs[0] == 0:
+                coeffs[0] = 1
+            return poly(coeffs)
+
+        out = []
+        for split in ((1, 3), (2, 2), (1, 1, 2), (1, 5), (2, 4), (3, 3), (2, 2, 2)):
+            for _ in range(3):
+                f = poly([1])
+                for d in split:
+                    f = f * rand(d)
+                out.append(f)
+        out += [rand(2) ** 2, rand(3) ** 2]
+        out += [rand(4) for _ in range(12)] + [rand(6) for _ in range(12)]
+        out += [parse_polynomial("x^4+1"), parse_polynomial("x^4-10*x^2+1")]
+        return out
+
+    def test_not_irreducible_exactly_when_sympy_factors(self):
+        seen = set()
+        for f in self.seeded_inputs():
+            reducible = self.sympy_reducible(f)
+            seen.add(reducible)
+            if reducible:
+                with pytest.raises(NotIrreducible):
+                    galois_group(f)
+            else:
+                assert galois_group(f).degree == f.degree
+        assert seen == {True, False}
+
+    def test_reducible_modulo_every_prime(self):
+        # irreducible, yet the degree sets never rule out a factor: V4 groups
+        assert galois_group(parse_polynomial("x^4+1")).label() == "4T2"
+        assert galois_group(parse_polynomial("x^4-10*x^2+1")).label() == "4T2"
+
+    @staticmethod
+    def moved(f, kind):
+        n = f.degree
+        if kind == "shift":
+            return f.shift(1)
+        if kind == "reversal":
+            return f.reversed_poly()
+        return poly([c * 2 ** (n - i) for i, c in enumerate(f.coeffs)])  # 2^n f(x/2)
+
+    @pytest.mark.parametrize("kind", ["shift", "reversal", "scale"])
+    def test_moved_fixtures_keep_their_group(self, kind):
+        # x -> x+1, x^n f(1/x) and 2^n f(x/2) move the roots, not the group,
+        # and change which small primes divide the discriminant and lc
+        for text, degree, t in KNOWN_GROUPS:
+            if degree is None:
+                continue
+            g = self.moved(parse_polynomial(text), kind)
+            assert galois_group(g).label() == f"{degree}T{t}", (text, kind)
+
+    def test_reducible_cost_is_bounded(self, monkeypatch):
+        import xlat.galois as mod
+
+        calls = []
+        for name in ("factor_degrees_mod_p", "discriminant", "is_irreducible_z"):
+            fn = getattr(mod, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(mod, name, counted)
+        f = poly([1, 1, 0, 1]) * poly([2, -1, 0, 1])  # two cubics
+        with pytest.raises(NotIrreducible):
+            galois_group(f)
+        assert calls.count("discriminant") == 1
+        assert calls.count("factor_degrees_mod_p") == 4
+        assert calls.count("is_irreducible_z") == 1
+        calls.clear()
+        with pytest.raises(NotIrreducible):
+            galois_group(poly([-1, 0, 1]) ** 2)  # disc 0: no prime, no factoring
+        assert calls == ["discriminant"]
 
 
 class TestSeparability:

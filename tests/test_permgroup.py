@@ -121,6 +121,22 @@ class TestTransitivity:
         g = grp(4, "(1 2)", "(1 2 3 4)")
         assert g.is_transitive() and g.is_2transitive() and g.is_2homogeneous()
 
+    def test_2transitivity_is_computed_once(self, monkeypatch):
+        import xlat.permgroup as mod
+
+        searches = []
+        search = mod.orbit_partition
+
+        def counted(gens, points, act):
+            searches.append(act)
+            return search(gens, points, act)
+
+        monkeypatch.setattr(mod, "orbit_partition", counted)
+        for gens, expected in ((("(1 2)", "(1 2 3 4)"), True), (("(1 2 3 4)",), False)):
+            g = grp(4, *gens)
+            assert [g.is_2transitive() for _ in range(3)] == [expected] * 3
+        assert searches.count(mod._act_ordered_pair) == 2
+
     def test_f21(self):
         g = grp(7, "(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)")
         assert g.order() == 21
